@@ -31,6 +31,7 @@ from .exacthom import (
     cohomology_with_coefficients,
     dual_transpose,
     intmat,
+    reduce_complex,
     smith_normal_form,
 )
 from .findim import (
@@ -64,6 +65,7 @@ from .ssengine import (
     e_infinity,
     from_cellular,
     set_higher_differential,
+    stabilize,
     turn_page,
 )
 from .constructions import (

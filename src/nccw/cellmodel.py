@@ -38,7 +38,7 @@ from .exacthom import (
     dual_transpose,
     freeze,
     intmat,
-    is_zero_mat,
+    product_is_zero,
 )
 from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism, k0_map
 
@@ -158,7 +158,7 @@ def build(stages) -> NCCWComplex:
             )
         cobs.append(delta)
     for p in range(len(cobs) - 1):
-        if not is_zero_mat(cobs[p + 1] @ cobs[p]):
+        if not product_is_zero(cobs[p + 1], cobs[p]):
             raise ComplexViolation(
                 p,
                 f"attaching data of stages {p + 1} and {p + 2} are incompatible:"

@@ -80,8 +80,10 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _expect_object(obj, where: str) -> dict:
@@ -90,11 +92,14 @@ def _expect_object(obj, where: str) -> dict:
     return obj
 
 
-def _parse_sizes(obj, where: str) -> list[int]:
+def _parse_sizes(obj, where: str, minimum: int) -> list[int]:
     if not isinstance(obj, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in obj
     ):
         raise FileFormatError(f"{where}: expected a list of integers")
+    for i, x in enumerate(obj):
+        if x < minimum:
+            raise FileFormatError(f"{where}: entry {i} is {x}, expected an integer >= {minimum}")
     return list(obj)
 
 
@@ -138,7 +143,7 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
         raise FileFormatError("'name' must be a string")
     if "classical_cw" in obj:
         cw = _expect_object(obj["classical_cw"], "classical_cw")
-        counts = _parse_sizes(cw.get("counts"), "classical_cw.counts")
+        counts = _parse_sizes(cw.get("counts"), "classical_cw.counts", 0)
         raw = cw.get("boundaries")
         if not isinstance(raw, list) or len(raw) != max(len(counts) - 1, 0):
             raise FileFormatError(
@@ -162,10 +167,10 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise FileFormatError(f"stage {idx}: 'dim' must be an integer")
         if dim == 0:
-            sizes = _parse_sizes(rec.get("algebra"), f"stage {idx}.algebra")
+            sizes = _parse_sizes(rec.get("algebra"), f"stage {idx}.algebra", 1)
             stages.append(cellmodel.NCCWStage(0, FinDimAlgebra(sizes)))
         else:
-            sizes = _parse_sizes(rec.get("F"), f"stage {idx}.F")
+            sizes = _parse_sizes(rec.get("F"), f"stage {idx}.F", 1)
             alg = FinDimAlgebra(sizes)
             if "phi0" in rec or "phi1" in rec:
                 if prev_count is None:
@@ -297,12 +302,6 @@ def page_payload(page: Page, symbol: str) -> dict:
     return {"r": page.r, "entries": entries, "differentials": diffs}
 
 
-def all_pages(ss: ssengine.SpectralSequence) -> list[Page]:
-    while ss.current_r < ss.stabilized_at:
-        ss = ssengine.turn_page(ss)
-    return list(ss.pages)
-
-
 def result_payload(name, theory, even, odd, pages=None) -> dict:
     sym = _symbol(theory)
     out = {
@@ -409,10 +408,10 @@ def cmd_compute(args) -> int:
     name, built = load_complex(args.path)
     theory = _theory(args)
     cochain = cellmodel.cochain_complex(built, theory)
-    ss = ssengine.from_cellular(cochain, theory)
+    ss = ssengine.stabilize(ssengine.from_cellular(cochain, theory))
     even = ssengine.assemble(ss, "even")
     odd = ssengine.assemble(ss, "odd")
-    pages = all_pages(ss) if args.pages else None
+    pages = ss.pages if args.pages else None
     emit(result_payload(name, theory, even, odd, pages), args.json, args.paper_indexing)
     return EXIT_OK
 
@@ -479,7 +478,7 @@ def cmd_fibration(args) -> int:
     except ValueError as exc:
         raise NCCWError(str(exc)) from exc
     page2 = fibration.leray_serre_e2(data)
-    even, odd = fibration.compute_total(data)
+    even, odd = fibration.compute_total(data, page2)
     payload = result_payload(f"fibration({base_name})", theory, even, odd, pages=[page2])
     emit(payload, args.json, args.paper_indexing)
     return EXIT_OK

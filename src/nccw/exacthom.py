@@ -63,16 +63,22 @@ def intmat(data, shape: tuple[int, int] | None = None) -> np.ndarray:
         if nrows != shape[0] or (nrows > 0 and ncols != shape[1]):
             raise ShapeMismatch(f"expected shape {shape}, got {nrows}x{ncols}")
         ncols = shape[1]
-    out = np.empty((nrows, ncols), dtype=object)
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ShapeMismatch(f"row {i} has length {len(row)}, expected {ncols}")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ShapeMismatch(f"entry ({i},{j}) is not an integer: {x!r}")
-            out[i, j] = int(x)
+        if not set(map(type, row)) <= {int}:
+            rows[i] = [_checked_int(x, i, j) for j, x in enumerate(row)]
+    out = np.empty((nrows, ncols), dtype=object)
+    if nrows and ncols:
+        out[:] = rows
     out.flags.writeable = False
     return out
+
+
+def _checked_int(x, i: int, j: int) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ShapeMismatch(f"entry ({i},{j}) is not an integer: {x!r}")
+    return int(x)
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
@@ -103,6 +109,28 @@ def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
 
 def is_zero_mat(a: np.ndarray) -> bool:
     return a.size == 0 or not np.any(a != 0)
+
+
+def product_is_zero(a: np.ndarray, b: np.ndarray) -> bool:
+    """Decide ``a @ b == 0`` exactly, multiplying only nonzero entries.
+
+    Each row of the product is accumulated from the nonzero entries of
+    the row of ``a`` and the nonzero entries of the matching rows of
+    ``b``, so the cost follows the number of nonzero entries rather than
+    the cube of the size.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+    for row in a.tolist():
+        acc = [0] * b.shape[1]
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        if any(acc):
+            return False
+    return True
 
 
 def hstack_mats(mats: list[np.ndarray], nrows: int) -> np.ndarray:
@@ -543,10 +571,10 @@ class CochainComplex:
                 raise ShapeMismatch(f"differential {p} has shape {d.shape}, expected {expect}")
         for p in range(len(diffs) - 1):
             if orientation == ORIENT_COHOMOLOGICAL:
-                prod = diffs[p + 1] @ diffs[p]
+                vanishes = product_is_zero(diffs[p + 1], diffs[p])
             else:
-                prod = diffs[p] @ diffs[p + 1]
-            if not is_zero_mat(prod):
+                vanishes = product_is_zero(diffs[p], diffs[p + 1])
+            if not vanishes:
                 raise ComplexViolation(p)
         self.ring = ring
         self.ranks = ranks
@@ -628,8 +656,130 @@ def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
     return FGAbelianGroup(free, tuple(torsion))
 
 
+def _euler(ranks) -> int:
+    return sum((-1) ** p * r for p, r in enumerate(ranks))
+
+
+def reduce_complex(c: CochainComplex) -> CochainComplex:
+    """A chain-homotopy equivalent complex with no entry +-1 left in any
+    differential.
+
+    Gaussian elimination on the chain complex (Kaczynski, Mrozek and
+    Slusarek 1998): a unit entry ``u`` at ``(i, j)`` of the differential
+    out of degree ``p`` splits off the contractible pair formed by
+    generator ``j`` of degree ``p`` and generator ``i`` of degree
+    ``p + 1``.  What is left has the differential
+    ``d - d[:, j] * u * d[i, :]`` with row ``i`` and column ``j`` dropped;
+    the differential into degree ``p`` loses row ``j`` and the one out of
+    degree ``p + 1`` loses column ``i``.  Pivots are taken while any
+    differential holds a unit, each in the column with the fewest
+    entries to limit fill-in.  The work runs on sparse rows, and the
+    result is an ordinary ``CochainComplex``, so d after d = 0 is checked
+    again on what remains.  A complex without unit entries comes back
+    unchanged.
+    """
+    ranks = list(c.ranks)
+    mats = list(c.differentials)
+    if c.orientation == ORIENT_HOMOLOGICAL:
+        # run along the direction of the differential: map s goes from
+        # position s to position s + 1, rows indexing the target
+        ranks.reverse()
+        mats.reverse()
+    # rows[s]: target generator -> {source generator: entry};
+    # cols[s]: source generator -> target generators with an entry
+    rows: list[dict[int, dict[int, int]]] = []
+    cols: list[dict[int, set[int]]] = []
+    has_unit = False
+    for s, mat in enumerate(mats):
+        row_map: dict[int, dict[int, int]] = {}
+        col_map: dict[int, set[int]] = {j: set() for j in range(ranks[s])}
+        for i, row in enumerate(mat.tolist()):
+            entries = {j: x for j, x in enumerate(row) if x}
+            if entries:
+                row_map[i] = entries
+                for j, x in entries.items():
+                    col_map[j].add(i)
+                    has_unit = has_unit or x in (1, -1)
+        rows.append(row_map)
+        cols.append(col_map)
+    if not has_unit:
+        return c
+    alive = [set(range(r)) for r in ranks]
+
+    def eliminate(s: int, i: int, j: int) -> None:
+        row_map, col_map = rows[s], cols[s]
+        pivot_row = row_map.pop(i)
+        u = pivot_row[j]
+        for j2 in pivot_row:
+            col_map[j2].discard(i)
+        for r in col_map.pop(j):
+            row = row_map[r]
+            f = row.pop(j) * u
+            for j2, v in pivot_row.items():
+                if j2 == j:
+                    continue
+                x = row.get(j2, 0) - f * v
+                if x:
+                    row[j2] = x
+                    col_map[j2].add(r)
+                else:
+                    del row[j2]
+                    col_map[j2].discard(r)
+            if not row:
+                del row_map[r]
+        if s > 0:
+            gone = rows[s - 1].pop(j, {})
+            for j2 in gone:
+                cols[s - 1][j2].discard(j)
+        if s + 1 < len(rows):
+            for r in cols[s + 1].pop(i):
+                row = rows[s + 1][r]
+                del row[i]
+                if not row:
+                    del rows[s + 1][r]
+        alive[s].discard(j)
+        alive[s + 1].discard(i)
+
+    progress = True
+    while progress:
+        progress = False
+        for s in range(len(rows)):
+            row_map, col_map = rows[s], cols[s]
+            for i in list(row_map):
+                row = row_map.get(i)
+                if row is None:
+                    continue
+                units = [j for j, x in row.items() if x in (1, -1)]
+                if units:
+                    eliminate(s, i, min(units, key=lambda j: len(col_map[j])))
+                    progress = True
+
+    keep = [sorted(a) for a in alive]
+    index = [{old: new for new, old in enumerate(kept)} for kept in keep]
+    out_mats = []
+    for s, row_map in enumerate(rows):
+        dense = [[0] * len(keep[s]) for _ in keep[s + 1]]
+        for i, row in row_map.items():
+            target = dense[index[s + 1][i]]
+            for j, x in row.items():
+                target[index[s][j]] = x
+        out_mats.append(intmat(dense, shape=(len(keep[s + 1]), len(keep[s]))))
+    out_ranks = [len(kept) for kept in keep]
+    if c.orientation == ORIENT_HOMOLOGICAL:
+        out_ranks.reverse()
+        out_mats.reverse()
+    if _euler(out_ranks) != _euler(c.ranks):
+        raise RuntimeError("reduction postcondition failed: Euler characteristic changed")
+    return CochainComplex(c.ring, out_ranks, out_mats, c.orientation)
+
+
 def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
-    return [cohomology_at(c, p) for p in range(c.top_degree + 1)]
+    """Cohomology in every degree: the complex is reduced once by
+    ``reduce_complex`` and each degree read off the remainder by
+    ``cohomology_at``, whose Smith normal forms then only see the cells
+    that no unit pivot could cancel."""
+    r = reduce_complex(c)
+    return [cohomology_at(r, p) for p in range(r.top_degree + 1)]
 
 
 def _coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainComplex:
@@ -689,12 +839,11 @@ def cohomology_with_coefficients(
 
     The complex must be over Z.  The computation expands the coefficient
     group generator by generator into an honest free complex (see
-    ``_coefficient_expansion``) and reduces by Smith normal form; no
-    universal-coefficient bookkeeping is involved.
+    ``_coefficient_expansion``) and reads its cohomology through
+    ``all_cohomology``; no universal-coefficient bookkeeping is involved.
     """
     if c.ring != RING_Z:
         raise ValueError("coefficient cohomology needs an integer complex")
     if group.is_trivial:
         return [FGAbelianGroup.trivial() for _ in range(c.top_degree + 1)]
-    expanded = _coefficient_expansion(c, group)
-    return [cohomology_at(expanded, p + 1) for p in range(c.top_degree + 1)]
+    return all_cohomology(_coefficient_expansion(c, group))[1:]

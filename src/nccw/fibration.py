@@ -22,8 +22,8 @@ from .exacthom import (
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
+    all_cohomology,
     cohomology_with_coefficients,
-    matrix_rank,
 )
 from .findim import THEORY_HP, THEORY_K
 from .constructions import CellularMorphism, mapping_cylinder, relative_assemblies
@@ -35,6 +35,7 @@ from .ssengine import (
     Page,
     assemble,
     from_e2_page,
+    stabilize,
 )
 
 
@@ -89,6 +90,7 @@ def leray_serre_e2(fib: SerreFibrationData) -> Page:
         raise NotSimple("local coefficient system declared non-simple")
     k = fib.base.top_degree
     entries = {}
+    rational = None
     for parity, group in ((PARITY_EVEN, fib.g_even), (PARITY_ODD, fib.g_odd)):
         if group.is_trivial:
             continue
@@ -96,23 +98,22 @@ def leray_serre_e2(fib: SerreFibrationData) -> Page:
             column = cohomology_with_coefficients(fib.base, group)
         else:
             # rational base: multiply rational ranks by the coefficient rank
-            column = [
-                FGAbelianGroup.free(
-                    group.free_rank
-                    * (fib.base.rank(p)
-                       - matrix_rank(fib.base.differential(p))
-                       - matrix_rank(fib.base.differential(p - 1)))
-                )
-                for p in range(k + 1)
-            ]
+            if rational is None:
+                rational = all_cohomology(fib.base)
+            column = [FGAbelianGroup.free(group.free_rank * g.free_rank) for g in rational]
         for p, g in enumerate(column):
             if not g.is_trivial:
                 entries[(p, parity)] = g
     return Page(2, k, fib.theory, entries, {})
 
 
-def compute_total(fib: SerreFibrationData) -> tuple[Assembly, Assembly]:
+def compute_total(
+    fib: SerreFibrationData, page2: Page | None = None
+) -> tuple[Assembly, Assembly]:
     """Feed the coefficient page into the engine and assemble both total
-    parities (higher differentials default to zero)."""
-    ss = from_e2_page(leray_serre_e2(fib))
+    parities (higher differentials default to zero).  ``page2`` is the
+    already built ``leray_serre_e2(fib)``, when the caller has it."""
+    if page2 is None:
+        page2 = leray_serre_e2(fib)
+    ss = stabilize(from_e2_page(page2))
     return assemble(ss, "even"), assemble(ss, "odd")

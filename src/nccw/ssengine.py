@@ -31,6 +31,7 @@ from .exacthom import (
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
+    all_cohomology,
     intmat,
     is_zero_mat,
     presented_subquotient,
@@ -197,14 +198,42 @@ def _turned_entry(ss: SpectralSequence, page: Page, p: int, parity: int) -> FGAb
     )
 
 
+def _turned_first_page(page: Page) -> dict:
+    """Entries of the second page.  The first page has free entries and
+    d^1 keeps the parity, so each parity row is a cochain complex and its
+    cohomology is the next row."""
+    ring = RING_Z if page.theory == THEORY_K else RING_Q
+    entries = {}
+    for parity in (PARITY_EVEN, PARITY_ODD):
+        row = [page.entry_at(p, parity) for p in range(page.k + 1)]
+        if all(g.is_trivial for g in row):
+            continue
+        if any(g.torsion for g in row):
+            raise ShapeMismatch("entries of a first page must be free")
+        ranks = [g.free_rank for g in row]
+        diffs = [page.differential(p, parity) for p in range(page.k)]
+        for p, g in enumerate(all_cohomology(CochainComplex(ring, ranks, diffs))):
+            entries[(p, parity)] = g
+    return entries
+
+
 def turn_page(ss: SpectralSequence) -> SpectralSequence:
     """Append the next page: every entry is replaced by the kernel of its
     outgoing differential modulo the image of the incoming one, in
-    canonical form.  Differentials on the new page default to zero."""
+    canonical form.  Differentials on the new page default to zero.
+
+    A page without differentials turns into a page with the same
+    entries, and the first page turns row by row through
+    ``all_cohomology``."""
     page = ss.pages[-1]
-    new_entries = {
-        key: _turned_entry(ss, page, key[0], key[1]) for key in page.support()
-    }
+    if not page.differentials:
+        new_entries = dict(page.entries)
+    elif page.r == 1:
+        new_entries = _turned_first_page(page)
+    else:
+        new_entries = {
+            key: _turned_entry(ss, page, key[0], key[1]) for key in page.support()
+        }
     new_page = Page(page.r + 1, ss.k, ss.theory, new_entries, {})
     return SpectralSequence(ss.theory, ss.k, ss.pages + (new_page,))
 
@@ -273,12 +302,17 @@ def set_higher_differential(
     return SpectralSequence(ss.theory, ss.k, ss.pages[:idx] + (new_page,))
 
 
-def e_infinity(ss: SpectralSequence) -> Page:
-    """Turn pages until the guaranteed stabilization index and return the
-    stable page."""
+def stabilize(ss: SpectralSequence) -> SpectralSequence:
+    """Turn pages until the guaranteed stabilization index; a sequence
+    that is already there comes back unchanged."""
     while ss.current_r < ss.stabilized_at:
         ss = turn_page(ss)
-    return ss.pages[-1]
+    return ss
+
+
+def e_infinity(ss: SpectralSequence) -> Page:
+    """The stable page."""
+    return stabilize(ss).pages[-1]
 
 
 def assemble(ss: SpectralSequence, parity: str) -> Assembly:
@@ -306,6 +340,7 @@ def assemble(ss: SpectralSequence, parity: str) -> Assembly:
 
 
 def compute_theories(complex_: CochainComplex, theory: str) -> tuple[Assembly, Assembly]:
-    """End-to-end: cellular complex in, (even, odd) assemblies out."""
-    ss = from_cellular(complex_, theory)
+    """End-to-end: cellular complex in, (even, odd) assemblies out.  The
+    pages are turned once; both parities read the same stable page."""
+    ss = stabilize(from_cellular(complex_, theory))
     return assemble(ss, "even"), assemble(ss, "odd")

@@ -206,9 +206,10 @@ def tor_with_cyclic(g: FGAbelianGroup, d: int) -> FGAbelianGroup:
 
 def coefficient_cohomology_oracle(c: CochainComplex, g: FGAbelianGroup):
     """Tor/tensor formula for cohomology with coefficients, built only on
-    the plain integer cohomology groups."""
-    plain = exacthom.all_cohomology(c)
+    the plain integer cohomology groups, read degree by degree from the
+    unreduced complex."""
     k = c.top_degree
+    plain = [exacthom.cohomology_at(c, p) for p in range(k + 1)]
     out = []
     for p in range(k + 1):
         nxt = plain[p + 1] if p + 1 <= k else FGAbelianGroup.trivial()
@@ -225,8 +226,9 @@ def coefficient_cohomology_oracle(c: CochainComplex, g: FGAbelianGroup):
 
 def parity_sums(c: CochainComplex):
     """Direct cellular computation: (even, odd) parity direct sums of the
-    degreewise cohomology, bypassing the page engine entirely."""
-    groups = exacthom.all_cohomology(c)
+    degreewise cohomology of the unreduced complex, bypassing the page
+    engine and the reduction it turns its first page with."""
+    groups = [exacthom.cohomology_at(c, p) for p in range(c.top_degree + 1)]
     even = FGAbelianGroup.trivial().direct_sum(*[g for p, g in enumerate(groups) if p % 2 == 0])
     odd = FGAbelianGroup.trivial().direct_sum(*[g for p, g in enumerate(groups) if p % 2 == 1])
     return even, odd

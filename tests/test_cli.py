@@ -63,6 +63,43 @@ class TestExitCodes:
         assert "block 0" in err
 
 
+    def test_zero_block_size_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "zero_block.json"
+        bad.write_text(json.dumps({"stages": [{"dim": 0, "algebra": [0]}]}))
+        code, out, err = run(capsys, "compute", str(bad))
+        assert code in (1, 2)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "algebra" in err
+
+    def test_deep_nesting_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 5000 + "]" * 5000)
+        code, out, err = run(capsys, "compute", str(bad))
+        assert code in (1, 2)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undecodable_bytes_are_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_cell_count_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "negative.json"
+        bad.write_text(
+            json.dumps({"classical_cw": {"counts": [1, -1], "boundaries": [[[]]]}})
+        )
+        code, _, err = run(capsys, "compute", str(bad))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "classical_cw.counts" in err and "-1" in err
+        assert "boundary" not in err
+
+
 class TestCompute:
     def test_rp2_k(self, capsys):
         code, out, _ = run(capsys, "compute", fix("rp2.json"), "--theory", "k")

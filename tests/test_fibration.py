@@ -5,7 +5,7 @@ import pytest
 from nccw.cellmodel import cochain_complex
 from nccw.constructions import CellularMorphism
 from nccw.errors import NotSimple, UnresolvedExtension
-from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat
+from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat, matrix_rank
 from nccw.fibration import (
     SerreFibrationData,
     compute_total,
@@ -195,3 +195,49 @@ class TestComputeTotal:
             )
             assert even.candidate.free_rank == want_even_rank
             assert odd.candidate.free_rank == want_odd_rank
+
+
+class TestSecondPageBuiltOnce:
+    def test_hp_column_is_base_cohomology_times_rank(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            base = random_cochain_complex(rng, max_k=3, max_rank=3, ring="Q")
+            g = FGAbelianGroup.free(rng.randint(1, 3))
+            page = leray_serre_e2(SerreFibrationData(base, g, g, "HP"))
+            for p in range(base.top_degree + 1):
+                rank = (base.rank(p) - matrix_rank(base.differential(p))
+                        - matrix_rank(base.differential(p - 1)))
+                for parity in (PARITY_EVEN, PARITY_ODD):
+                    assert page.entry_at(p, parity) == FGAbelianGroup.free(g.free_rank * rank)
+
+    def test_compute_total_takes_the_built_page(self, monkeypatch):
+        import nccw.fibration
+
+        data = SerreFibrationData(circle_cochain(), Z, FGAbelianGroup.cyclic(2), "K")
+        expected = compute_total(data)
+        page2 = leray_serre_e2(data)
+
+        def refuse(_fib):
+            raise AssertionError("second page built again")
+
+        monkeypatch.setattr(nccw.fibration, "leray_serre_e2", refuse)
+        assert compute_total(data, page2) == expected
+
+    def test_cli_builds_second_page_once(self, monkeypatch, capsys, tmp_path):
+        import nccw.fibration
+        from nccw.cli import main
+
+        calls = []
+        original = nccw.fibration.leray_serre_e2
+
+        def counting(fib):
+            calls.append(fib)
+            return original(fib)
+
+        monkeypatch.setattr(nccw.fibration, "leray_serre_e2", counting)
+        path = tmp_path / "circle.json"
+        path.write_text('{"classical_cw": {"counts": [1, 1], "boundaries": [[[0]]]}}')
+        code = main(["fibration", "--base", str(path), "--coeff-even", "Z", "--coeff-odd", "Z/2"])
+        assert code == 0
+        assert len(calls) == 1
+        assert "even: Z (+) Z/2" in capsys.readouterr().out

@@ -4,13 +4,16 @@ import pytest
 
 from nccw.cellmodel import cochain_complex
 from nccw.errors import NotACocycleMap, OutOfRange, ShapeMismatch
-from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat, zeros
+from nccw.exacthom import CochainComplex, FGAbelianGroup, cohomology_at, intmat, zeros
 from nccw.ssengine import (
     PARITY_EVEN,
+    Page,
+    SpectralSequence,
     assemble,
     compute_theories,
     e_infinity,
     from_cellular,
+    from_e2_page,
     set_higher_differential,
     turn_page,
 )
@@ -278,3 +281,75 @@ class TestAssemble:
             c = random_cochain_complex(rng)
             ss = turn_page(from_cellular(c, "K"))
             assert ss.pages[-1].same_entries(e_infinity(ss))
+
+
+def _forbid_subquotient(monkeypatch):
+    import nccw.exacthom
+    import nccw.ssengine
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("presented_subquotient called")
+
+    monkeypatch.setattr(nccw.ssengine, "presented_subquotient", boom)
+    monkeypatch.setattr(nccw.exacthom, "presented_subquotient", boom)
+
+
+def _count_turns(monkeypatch):
+    import nccw.ssengine
+
+    calls = []
+    original = nccw.ssengine.turn_page
+
+    def counting(ss):
+        calls.append(ss.current_r)
+        return original(ss)
+
+    monkeypatch.setattr(nccw.ssengine, "turn_page", counting)
+    return calls
+
+
+class TestTurnCost:
+    def test_first_turn_reads_rows_without_subquotients(self, monkeypatch):
+        _forbid_subquotient(monkeypatch)
+        rng = random.Random(61)
+        for _ in range(25):
+            c = random_cochain_complex(rng, max_k=3, max_rank=4)
+            page2 = turn_page(from_cellular(c, "K")).pages[-1]
+            groups = [page2.entry_at(p, PARITY_EVEN) for p in range(c.top_degree + 1)]
+            assert groups == [cohomology_at(c, p) for p in range(c.top_degree + 1)]
+            assert not page2.differentials
+
+    def test_first_turn_hp_matches_rational_ranks(self):
+        c = cochain_complex(projective_plane_cw(), "HP")
+        page2 = turn_page(from_cellular(c, "HP")).pages[-1]
+        assert dict(page2.entries) == {(0, PARITY_EVEN): Z}
+
+    def test_first_page_with_torsion_refused(self):
+        entries = {(0, PARITY_EVEN): FGAbelianGroup.cyclic(2), (1, PARITY_EVEN): Z}
+        page = Page(1, 1, "K", entries, {(0, PARITY_EVEN): intmat([[1]])})
+        with pytest.raises(ShapeMismatch, match="free"):
+            turn_page(SpectralSequence("K", 1, (page,)))
+
+    def test_idle_turn_keeps_entries(self, monkeypatch):
+        _forbid_subquotient(monkeypatch)
+        entries = {(0, PARITY_EVEN): FGAbelianGroup(1, (2,)), (1, 1): FGAbelianGroup.cyclic(3)}
+        ss = from_e2_page(Page(2, 2, "K", entries, {}))
+        turned = turn_page(ss)
+        assert turned.pages[-1].r == 3
+        assert dict(turned.pages[-1].entries) == entries
+
+    def test_compute_theories_turns_each_page_once(self, monkeypatch):
+        calls = _count_turns(monkeypatch)
+        c = cochain_complex(projective_plane_cw(), "K")
+        compute_theories(c, "K")
+        assert calls == [1, 2]
+
+    def test_compute_pages_turns_each_page_once(self, monkeypatch, capsys, tmp_path):
+        from nccw.cli import main
+
+        calls = _count_turns(monkeypatch)
+        path = tmp_path / "rp2.json"
+        path.write_text('{"classical_cw": {"counts": [1, 1, 1], "boundaries": [[[0]], [[2]]]}}')
+        assert main(["compute", str(path), "--pages", "--json"]) == 0
+        assert calls == [1, 2]
+        assert '"r": 3' in capsys.readouterr().out
