@@ -1,6 +1,7 @@
 """Cone, suspension, cylinder and mapping cone in action.
 
-The cone of anything is contractible.  Suspension swaps the two parities.
+The cone of anything is contractible: it is the mapping cone of the
+identity, whose complex is acyclic.  Suspension swaps the two parities.
 The cylinder of a morphism carries the codomain's theories and remembers
 the embedded copy of the domain.  The mapping cone computes the relative
 groups, tied to domain and codomain by the periodic six-term sequence.
@@ -9,7 +10,6 @@ groups, tied to domain and codomain by the periodic six-term sequence.
 from nccw import cochain_complex, from_classical_cw
 from nccw.constructions import (
     CellularMorphism,
-    cone,
     mapping_cylinder,
     relative_assemblies,
     suspend,
@@ -34,8 +34,8 @@ for step in range(4):
     c = suspend(c)
 
 print("\n== cones are invisible to both theories")
-result = cone(circle)
-print(f"  contractible: {result.contractible}, K groups {tuple(map(str, result.theories('K')))}")
+cone_even, cone_odd = relative_assemblies(CellularMorphism.identity_on(circle), "K")
+print(f"  cone of the circle: K groups even {cone_even.group}, odd {cone_odd.group}")
 
 print("\n== cylinder of the inclusion of a point into the circle")
 include = CellularMorphism(point, circle, [intmat([[1]])])

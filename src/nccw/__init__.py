@@ -5,7 +5,7 @@ The package is organized around one pipeline: a tower of stages
 (:mod:`nccw.ssengine`) runs its filtration spectral sequence page by page,
 and the assembly reports the 2-periodic theory groups with honest
 extension flags.  :mod:`nccw.exacthom` supplies the exact integer linear
-algebra underneath, :mod:`nccw.constructions` the cone, suspension,
+algebra underneath, :mod:`nccw.constructions` the suspension,
 cylinder and mapping cone, and :mod:`nccw.fibration` the coefficient
 spectral sequence of a fibration replacement.  :mod:`nccw.cli` is the
 command-line front end.
@@ -70,8 +70,6 @@ from .ssengine import (
 )
 from .constructions import (
     CellularMorphism,
-    ConeResult,
-    cone,
     mapping_cone_complex,
     mapping_cylinder,
     relative_assemblies,
@@ -80,7 +78,6 @@ from .constructions import (
 from .fibration import (
     SerreFibrationData,
     compute_total,
-    fibration_replace,
     leray_serre_e2,
     relative_coefficients,
 )

@@ -31,11 +31,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .exacthom import (
-    ORIENT_HOMOLOGICAL,
     RING_Q,
     RING_Z,
     CochainComplex,
-    dual_transpose,
     freeze,
     intmat,
     product_is_zero,
@@ -172,7 +170,9 @@ def from_classical_cw(cell_counts, chain_boundaries) -> NCCWComplex:
 
     ``chain_boundaries[p]`` is the boundary matrix from (p+1)-cells to
     p-cells, shape (counts[p], counts[p+1]).  The tower stores the
-    transposed matrices, i.e. the cellular cochain complex.
+    transposed matrices, i.e. the cellular cochain complex; ``build``
+    checks that they compose to zero, and the degree of a
+    ``ComplexViolation`` is the same in either orientation.
     """
     counts = [int(c) for c in cell_counts]
     if not counts or any(c < 0 for c in counts):
@@ -182,18 +182,10 @@ def from_classical_cw(cell_counts, chain_boundaries) -> NCCWComplex:
     ]
     if len(boundaries) != len(counts) - 1:
         raise ShapeMismatch("need one boundary matrix per adjacent dimension pair")
-    # validating through the homological complex reports failures in the
-    # caller's own orientation
-    chain = CochainComplex(RING_Z, counts, boundaries, ORIENT_HOMOLOGICAL)
-    cochain = dual_transpose(chain)
     stages = [NCCWStage(0, FinDimAlgebra([1] * counts[0]))]
     for k in range(1, len(counts)):
         stages.append(
-            NCCWStage(
-                k,
-                FinDimAlgebra([1] * counts[k]),
-                ProvidedCoboundary(cochain.differentials[k - 1]),
-            )
+            NCCWStage(k, FinDimAlgebra([1] * counts[k]), ProvidedCoboundary(boundaries[k - 1].T))
         )
     return build(stages)
 

@@ -437,10 +437,12 @@ def cmd_transform(args) -> int:
         print(json.dumps(suspended_payload(name, built), sort_keys=True, indent=2))
         return EXIT_OK
     if args.op == "cone":
-        trivial = FGAbelianGroup.trivial()
-        a = Assembly("even", (), trivial, "exact", trivial)
-        b = Assembly("odd", (), trivial, "exact", trivial)
-        emit(result_payload(f"cone({name})", theory, a, b), args.json)
+        # the cone is the mapping cone of the identity, which is acyclic
+        identity = constructions.CellularMorphism.identity_on(
+            cellmodel.cochain_complex(built, theory)
+        )
+        even, odd = constructions.relative_assemblies(identity, theory)
+        emit(result_payload(f"cone({name})", theory, even, odd), args.json)
         return EXIT_OK
     if not args.map:
         raise FileFormatError(f"--op {args.op} needs --map")

@@ -1,13 +1,12 @@
-"""Cone, suspension, mapping cylinder and mapping cone at the cell level.
+"""Suspension, mapping cylinder and mapping cone at the cell level.
 
 The operations act on cellular cochain models and report what the theory
-functors see.  Two of them are deliberately not literal cell structures:
-
-* The cone of anything is contractible, so no cell model is built at all;
-  a sentinel with trivial theories is returned.
-* The cylinder of ``f`` is homotopy equivalent to the codomain, so the
-  codomain model plus the record of the embedded domain captures
-  everything downstream consumers need.
+functors see.  The cylinder of ``f`` is deliberately not a literal cell
+structure: it is homotopy equivalent to the codomain, so the codomain
+model plus the record of the embedded domain captures everything
+downstream consumers need.  The cone of ``X`` needs no construction of
+its own: it is the mapping cone of the identity of ``X``, whose complex
+is acyclic.
 
 The mapping cone is an honest complex computing the relative theories.
 Its natural degree range starts one below zero (the shifted copy of the
@@ -27,14 +26,12 @@ from .errors import InvalidMorphism, ShapeMismatch
 from .exacthom import (
     ORIENT_COHOMOLOGICAL,
     CochainComplex,
-    FGAbelianGroup,
     freeze,
     identity,
     intmat,
     mat_eq,
     zeros,
 )
-from .findim import THEORY_HP, THEORY_K
 from .ssengine import Assembly, compute_theories
 
 
@@ -94,18 +91,6 @@ class CellularMorphism:
         return cls(src, dst, [])
 
 
-@dataclass(frozen=True)
-class ConeResult:
-    """Sentinel for the contractible cone: every theory group is trivial."""
-
-    contractible: bool = True
-
-    def theories(self, theory: str) -> tuple[FGAbelianGroup, FGAbelianGroup]:
-        if theory not in (THEORY_K, THEORY_HP):
-            raise ValueError(f"unknown theory {theory!r}")
-        return FGAbelianGroup.trivial(), FGAbelianGroup.trivial()
-
-
 def suspend(c: CochainComplex) -> CochainComplex:
     """Shift every rank up one degree; differentials ride along unchanged.
 
@@ -115,11 +100,6 @@ def suspend(c: CochainComplex) -> CochainComplex:
     ranks = (0,) + c.ranks
     diffs = (zeros(c.rank(0), 0),) + c.differentials
     return CochainComplex(c.ring, ranks, diffs, c.orientation)
-
-
-def cone(_anything=None) -> ConeResult:
-    """The cone of any input is contractible; all theory groups vanish."""
-    return ConeResult()
 
 
 def mapping_cylinder(f: CellularMorphism) -> tuple[CochainComplex, CellularMorphism]:

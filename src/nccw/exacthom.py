@@ -24,6 +24,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -141,23 +142,6 @@ def hstack_mats(mats: list[np.ndarray], nrows: int) -> np.ndarray:
         if m.shape[0] != nrows:
             raise ShapeMismatch("hstack row counts disagree")
     return freeze(np.concatenate(mats, axis=1))
-
-
-def block_diag(blocks: list[tuple[np.ndarray, tuple[int, int]]]) -> np.ndarray:
-    """Block-diagonal matrix; each block comes with its (rows, cols) shape so
-    zero-size blocks still occupy their slot."""
-    nrows = sum(s[0] for _, s in blocks)
-    ncols = sum(s[1] for _, s in blocks)
-    out = np.zeros((nrows, ncols), dtype=object)
-    i = j = 0
-    for mat, (r, c) in blocks:
-        if mat.shape != (r, c):
-            raise ShapeMismatch("block shape disagrees with declared shape")
-        if r and c:
-            out[i : i + r, j : j + c] = mat
-        i += r
-        j += c
-    return freeze(out)
 
 
 def determinant(mat: np.ndarray) -> int:
@@ -416,18 +400,20 @@ class FGAbelianGroup:
         """Canonicalize an arbitrary direct sum of cyclic groups.
 
         ``0`` denotes an infinite cyclic summand.  The torsion part is
-        renormalized into a divisibility chain by diagonalizing the
-        diagonal matrix of orders.
+        renormalized into a divisibility chain by the exchange
+        ``Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)``: once position ``i``
+        has been exchanged with every later position it divides all of
+        them, and later exchanges only replace those by gcds and lcms of
+        its multiples.
         """
         free = sum(1 for d in orders if d == 0)
         finite = [abs(int(d)) for d in orders if d != 0]
-        finite = [d for d in finite if d > 1]
-        if not finite:
-            return cls(free, ())
-        diag = np.zeros((len(finite), len(finite)), dtype=object)
-        for i, d in enumerate(finite):
-            diag[i, i] = d
-        return cls(free, tuple(d for d in snf_diagonal(freeze(diag)) if d >= 2))
+        for i in range(len(finite)):
+            for j in range(i + 1, len(finite)):
+                a, b = finite[i], finite[j]
+                finite[i] = gcd(a, b)
+                finite[j] = a * b // finite[i]
+        return cls(free, tuple(d for d in finite if d > 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -637,23 +623,29 @@ def _boundary_maps_at(c: CochainComplex, p: int):
     return c.differential(p - 1), c.differential(p)
 
 
-def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
-    """ker/im at degree ``p`` in canonical form.
+def _group_from_diagonals(ring: str, rank: int, out_diag, in_diag) -> FGAbelianGroup:
+    """ker/im at a degree of rank ``rank`` from the nonzero invariant
+    factors of its outgoing and incoming maps.
 
-    Over Z the free rank is ``c_p - rank(out) - rank(in)`` and the torsion
-    is exactly the invariant factors (>= 2) of the incoming matrix; every
-    torsion class of the ambient cokernel already lies in the kernel of
-    the outgoing map because the composite vanishes.  Over Q the torsion
-    is dropped.
+    Over Z the free rank is ``rank - rank(out) - rank(in)`` and the
+    torsion is exactly the invariant factors (>= 2) of the incoming
+    matrix; every torsion class of the ambient cokernel already lies in
+    the kernel of the outgoing map because the composite vanishes.  Over
+    Q the torsion is dropped.
     """
+    free = rank - len(out_diag) - len(in_diag)
+    if ring == RING_Q:
+        return FGAbelianGroup.free(free)
+    return FGAbelianGroup(free, tuple(d for d in in_diag if d >= 2))
+
+
+def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
+    """ker/im at degree ``p`` in canonical form, from one Smith normal form
+    of each map at that degree."""
     if not 0 <= p <= c.top_degree:
         raise OutOfRange(f"degree {p} outside 0..{c.top_degree}")
     out_map, in_map = _boundary_maps_at(c, p)
-    free = c.rank(p) - matrix_rank(out_map) - matrix_rank(in_map)
-    if c.ring == RING_Q:
-        return FGAbelianGroup.free(free)
-    torsion = [d for d in snf_diagonal(in_map) if d >= 2]
-    return FGAbelianGroup(free, tuple(torsion))
+    return _group_from_diagonals(c.ring, c.rank(p), snf_diagonal(out_map), snf_diagonal(in_map))
 
 
 def _euler(ranks) -> int:
@@ -775,61 +767,17 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
 
 def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
     """Cohomology in every degree: the complex is reduced once by
-    ``reduce_complex`` and each degree read off the remainder by
-    ``cohomology_at``, whose Smith normal forms then only see the cells
-    that no unit pivot could cancel."""
+    ``reduce_complex``, each differential of the remainder is factored
+    once by ``snf_diagonal``, and every degree is read off the diagonals of
+    the maps on either side of it."""
     r = reduce_complex(c)
-    return [cohomology_at(r, p) for p in range(r.top_degree + 1)]
-
-
-def _coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainComplex:
-    """Free integer complex whose cohomology in degrees 1..k+1 equals the
-    cohomology of ``c`` tensored with ``group`` in degrees 0..k.
-
-    Each free generator of the coefficient group contributes a plain copy
-    of the complex.  Each cyclic factor Z/d contributes a copy together
-    with relation generators one degree lower, glued by multiplication by
-    d: at (shifted) degree p the block holds the (p+1)-generators and the
-    p-generators, with differential  (x, y) |-> (-d_{p+1} x, d x + d_p y).
-    The whole expansion is block diagonal across coefficient summands.
-    """
-    if c.orientation != ORIENT_COHOMOLOGICAL:
-        raise ValueError("coefficient expansion needs a cohomological complex")
-    k = c.top_degree
-
-    def cyc_rank(p: int, d: int | None) -> int:
-        if d is None:
-            return c.rank(p)
-        return c.rank(p + 1) + c.rank(p)
-
-    def cyc_diff(p: int, d: int | None) -> np.ndarray:
-        if d is None:
-            return c.differential(p)
-        top = hstack_mats(
-            [freeze(np.negative(c.differential(p + 1))), zeros(c.rank(p + 2), c.rank(p))],
-            c.rank(p + 2),
-        )
-        dident = np.zeros((c.rank(p + 1), c.rank(p + 1)), dtype=object)
-        for i in range(c.rank(p + 1)):
-            dident[i, i] = d
-        bottom = hstack_mats([freeze(dident), c.differential(p)], c.rank(p + 1))
-        if top.shape[0] == 0:
-            return bottom
-        if bottom.shape[0] == 0:
-            return top
-        return freeze(np.concatenate([top, bottom], axis=0))
-
-    summands: list[int | None] = [None] * group.free_rank + list(group.torsion)
-    ranks = []
-    diffs = []
-    for p in range(-1, k + 1):
-        ranks.append(sum(cyc_rank(p, d) for d in summands))
-    for p in range(-1, k):
-        blocks = [
-            (cyc_diff(p, d), (cyc_rank(p + 1, d), cyc_rank(p, d))) for d in summands
-        ]
-        diffs.append(block_diag(blocks))
-    return CochainComplex(RING_Z, ranks, diffs, ORIENT_COHOMOLOGICAL)
+    # diags[s + 1] belongs to the matrix at index s; the ends are zero maps
+    diags = [[]] + [snf_diagonal(d) for d in r.differentials] + [[]]
+    if r.orientation == ORIENT_COHOMOLOGICAL:
+        sides = [(diags[p + 1], diags[p]) for p in range(r.top_degree + 1)]
+    else:
+        sides = [(diags[p], diags[p + 1]) for p in range(r.top_degree + 1)]
+    return [_group_from_diagonals(r.ring, r.rank(p), *sides[p]) for p in range(len(sides))]
 
 
 def cohomology_with_coefficients(
@@ -837,13 +785,23 @@ def cohomology_with_coefficients(
 ) -> list[FGAbelianGroup]:
     """Cohomology of ``c`` with coefficients in ``group``, degree by degree.
 
-    The complex must be over Z.  The computation expands the coefficient
-    group generator by generator into an honest free complex (see
-    ``_coefficient_expansion``) and reads its cohomology through
-    ``all_cohomology``; no universal-coefficient bookkeeping is involved.
+    The universal coefficient theorem for a cochain complex of free
+    modules (Hatcher, *Algebraic Topology*, Thm 3A.3, with the degrees
+    reversed) gives H^p(C; G) = H^p(C) (x) G (+) Tor(H^{p+1}(C), G), so
+    everything follows from ``all_cohomology(c)`` by gcd arithmetic:
+    Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  The complex
+    must be cohomological; over Q the group must be torsion-free.
     """
-    if c.ring != RING_Z:
-        raise ValueError("coefficient cohomology needs an integer complex")
-    if group.is_trivial:
-        return [FGAbelianGroup.trivial() for _ in range(c.top_degree + 1)]
-    return all_cohomology(_coefficient_expansion(c, group))[1:]
+    if c.orientation != ORIENT_COHOMOLOGICAL:
+        raise ValueError("coefficient cohomology needs a cohomological complex")
+    if c.ring == RING_Q and group.torsion:
+        raise ValueError("rational coefficient cohomology needs a torsion-free group")
+    plain = all_cohomology(c) + [FGAbelianGroup.trivial()]
+    out = []
+    for h, nxt in zip(plain, plain[1:]):
+        orders = [0] * (h.free_rank * group.free_rank) + list(h.torsion) * group.free_rank
+        for d in group.torsion:
+            orders += [d] * h.free_rank
+            orders += [gcd(e, d) for e in h.torsion + nxt.torsion]
+        out.append(FGAbelianGroup.from_cyclic_orders(orders))
+    return out

@@ -22,11 +22,10 @@ from .exacthom import (
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
-    all_cohomology,
     cohomology_with_coefficients,
 )
 from .findim import THEORY_HP, THEORY_K
-from .constructions import CellularMorphism, mapping_cylinder, relative_assemblies
+from .constructions import CellularMorphism, relative_assemblies
 from .ssengine import (
     ASSEMBLY_UP_TO_EXTENSION,
     PARITY_EVEN,
@@ -59,12 +58,6 @@ class SerreFibrationData:
             raise ValueError("HP coefficients must be torsion-free")
 
 
-def fibration_replace(f: CellularMorphism) -> tuple[CochainComplex, CellularMorphism]:
-    """Serre-fibration replacement of ``f``: the cylinder total model and
-    the inclusion of the domain into it."""
-    return mapping_cylinder(f)
-
-
 def relative_coefficients(
     f: CellularMorphism, theory: str
 ) -> tuple[FGAbelianGroup, FGAbelianGroup]:
@@ -85,23 +78,16 @@ def relative_coefficients(
 
 def leray_serre_e2(fib: SerreFibrationData) -> Page:
     """Second page: coefficient cohomology of the base, one row per fiber
-    parity, 2-periodic in the fiber direction."""
+    parity, 2-periodic in the fiber direction.  The base is over Z for K
+    and over Q for HP, whose coefficients are torsion-free."""
     if not fib.simple:
         raise NotSimple("local coefficient system declared non-simple")
     k = fib.base.top_degree
     entries = {}
-    rational = None
     for parity, group in ((PARITY_EVEN, fib.g_even), (PARITY_ODD, fib.g_odd)):
         if group.is_trivial:
             continue
-        if fib.theory == THEORY_K:
-            column = cohomology_with_coefficients(fib.base, group)
-        else:
-            # rational base: multiply rational ranks by the coefficient rank
-            if rational is None:
-                rational = all_cohomology(fib.base)
-            column = [FGAbelianGroup.free(group.free_rank * g.free_rank) for g in rational]
-        for p, g in enumerate(column):
+        for p, g in enumerate(cohomology_with_coefficients(fib.base, group)):
             if not g.is_trivial:
                 entries[(p, parity)] = g
     return Page(2, k, fib.theory, entries, {})

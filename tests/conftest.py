@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: cellular
 homology is recomputed from Smith normal form data alone, six-term
 kernel/cokernel groups come straight from one matrix, and coefficient
-cohomology has a Tor/tensor formula oracle.
+cohomology has a Tor/tensor formula oracle and a block-diagonal free
+expansion whose plain cohomology needs no universal coefficient theorem.
 """
 
 import math
@@ -11,12 +12,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nccw import cellmodel, exacthom
+from nccw.errors import ShapeMismatch
 from nccw.exacthom import (
+    ORIENT_COHOMOLOGICAL,
+    RING_Z,
     CochainComplex,
     FGAbelianGroup,
     cokernel_group,
+    freeze,
+    hstack_mats,
     intmat,
     kernel_basis,
     matrix_rank,
@@ -123,6 +130,22 @@ def random_cochain_complex(rng: random.Random, max_k=3, max_rank=4, max_entry=3,
         diffs.append(mat)
         prev = mat
     return CochainComplex(ring, ranks, diffs)
+
+
+@st.composite
+def small_complexes(draw, rings=("Z", "Q")):
+    """Random complexes with entries in -3..3: a random complex plus a
+    complex with entries in -1..1 scaled by 2 or 3, so non-unit pivots
+    survive the reduction."""
+    rng = draw(st.randoms(use_true_random=False))
+    ring = draw(st.sampled_from(rings))
+    base = random_cochain_complex(rng, max_k=3, max_rank=4, max_entry=3, ring=ring)
+    unit = random_cochain_complex(rng, max_k=3, max_rank=3, max_entry=1, ring=ring)
+    scale = draw(st.sampled_from([2, 3, -2, -3]))
+    scaled = CochainComplex(
+        ring, unit.ranks, [freeze(scale * d) for d in unit.differentials]
+    )
+    return direct_sum_complexes(base, scaled)
 
 
 def random_stage1_complex(rng: random.Random, max_blocks=3, max_mult=3):
@@ -249,3 +272,70 @@ def direct_sum_complexes(a: CochainComplex, b: CochainComplex) -> CochainComplex
             out[da.shape[0] :, da.shape[1] :] = db
         diffs.append(exacthom.freeze(out))
     return CochainComplex(a.ring, ranks, diffs, a.orientation)
+
+
+def block_diag(blocks: list[tuple[np.ndarray, tuple[int, int]]]) -> np.ndarray:
+    """Block-diagonal matrix; each block comes with its (rows, cols) shape so
+    zero-size blocks still occupy their slot."""
+    nrows = sum(s[0] for _, s in blocks)
+    ncols = sum(s[1] for _, s in blocks)
+    out = np.zeros((nrows, ncols), dtype=object)
+    i = j = 0
+    for mat, (r, c) in blocks:
+        if mat.shape != (r, c):
+            raise ShapeMismatch("block shape disagrees with declared shape")
+        if r and c:
+            out[i : i + r, j : j + c] = mat
+        i += r
+        j += c
+    return freeze(out)
+
+
+def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainComplex:
+    """Free integer complex whose cohomology in degrees 1..k+1 equals the
+    cohomology of ``c`` tensored with ``group`` in degrees 0..k.
+
+    Each free generator of the coefficient group contributes a plain copy
+    of the complex.  Each cyclic factor Z/d contributes a copy together
+    with relation generators one degree lower, glued by multiplication by
+    d: at (shifted) degree p the block holds the (p+1)-generators and the
+    p-generators, with differential  (x, y) |-> (-d_{p+1} x, d x + d_p y).
+    The whole expansion is block diagonal across coefficient summands.
+    """
+    if c.orientation != ORIENT_COHOMOLOGICAL:
+        raise ValueError("coefficient expansion needs a cohomological complex")
+    k = c.top_degree
+
+    def cyc_rank(p: int, d: int | None) -> int:
+        if d is None:
+            return c.rank(p)
+        return c.rank(p + 1) + c.rank(p)
+
+    def cyc_diff(p: int, d: int | None) -> np.ndarray:
+        if d is None:
+            return c.differential(p)
+        top = hstack_mats(
+            [freeze(np.negative(c.differential(p + 1))), zeros(c.rank(p + 2), c.rank(p))],
+            c.rank(p + 2),
+        )
+        dident = np.zeros((c.rank(p + 1), c.rank(p + 1)), dtype=object)
+        for i in range(c.rank(p + 1)):
+            dident[i, i] = d
+        bottom = hstack_mats([freeze(dident), c.differential(p)], c.rank(p + 1))
+        if top.shape[0] == 0:
+            return bottom
+        if bottom.shape[0] == 0:
+            return top
+        return freeze(np.concatenate([top, bottom], axis=0))
+
+    summands: list[int | None] = [None] * group.free_rank + list(group.torsion)
+    ranks = []
+    diffs = []
+    for p in range(-1, k + 1):
+        ranks.append(sum(cyc_rank(p, d) for d in summands))
+    for p in range(-1, k):
+        blocks = [
+            (cyc_diff(p, d), (cyc_rank(p + 1, d), cyc_rank(p, d))) for d in summands
+        ]
+        diffs.append(block_diag(blocks))
+    return CochainComplex(RING_Z, ranks, diffs, ORIENT_COHOMOLOGICAL)

@@ -160,6 +160,13 @@ class TestFromClassicalCW:
         with pytest.raises(ComplexViolation):
             from_classical_cw([1, 1, 1], [intmat([[1]]), intmat([[1]])])
 
+    def test_dd_violation_degree_in_caller_orientation(self):
+        # del_1 del_2 = 0, but del_2 del_3 = [[1]]
+        boundaries = [intmat([[0]]), intmat([[1]]), intmat([[1]])]
+        with pytest.raises(ComplexViolation) as err:
+            from_classical_cw([1, 1, 1, 1], boundaries)
+        assert err.value.degree == 1
+
 
 class TestSkeleton:
     def test_full_skeleton_is_identity(self):

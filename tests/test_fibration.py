@@ -3,13 +3,12 @@ import random
 import pytest
 
 from nccw.cellmodel import cochain_complex
-from nccw.constructions import CellularMorphism
+from nccw.constructions import CellularMorphism, mapping_cylinder
 from nccw.errors import NotSimple, UnresolvedExtension
 from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat, matrix_rank
 from nccw.fibration import (
     SerreFibrationData,
     compute_total,
-    fibration_replace,
     leray_serre_e2,
     relative_coefficients,
 )
@@ -36,21 +35,21 @@ def circle_cochain():
 class TestFibrationReplace:
     def test_identity(self):
         circ = circle_cochain()
-        total, inclusion = fibration_replace(CellularMorphism.identity_on(circ))
+        total, inclusion = mapping_cylinder(CellularMorphism.identity_on(circ))
         assert total == circ
         assert inclusion.src == circ and inclusion.dst == circ
 
     def test_point_into_circle(self):
         f = CellularMorphism(POINT, circle_cochain(), [intmat([[1]])])
-        total, inclusion = fibration_replace(f)
+        total, inclusion = mapping_cylinder(f)
         even, odd = compute_theories(total, "K")
         assert even.group == Z and odd.group == Z
         assert inclusion.src == POINT
 
     def test_idempotent_on_theories(self):
         f = CellularMorphism(POINT, circle_cochain(), [intmat([[1]])])
-        total1, incl1 = fibration_replace(f)
-        total2, _ = fibration_replace(incl1)
+        total1, incl1 = mapping_cylinder(f)
+        total2, _ = mapping_cylinder(incl1)
         assert compute_theories(total1, "K")[0].group == compute_theories(total2, "K")[0].group
 
 

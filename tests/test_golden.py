@@ -33,17 +33,13 @@ def source(name):
     return path if os.path.exists(path) else os.path.join(GOLDEN, f"{name}.json")
 
 
-def fixture(name):
-    return os.path.join(FIXTURES, f"{name}.json")
-
-
 def fibration(base, even, odd, theory):
     return ["fibration", "--base", source(base), "--coeff-even", even,
             "--coeff-odd", odd, "--theory", theory, "--json"]
 
 
 def cone(name, theory):
-    return ["transform", fixture(name), "--op", "cone", "--theory", theory, "--json"]
+    return ["transform", source(name), "--op", "cone", "--theory", theory, "--json"]
 
 
 CLI_CASES = {

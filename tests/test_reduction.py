@@ -18,14 +18,13 @@ from nccw.exacthom import (
     all_cohomology,
     cohomology_at,
     dual_transpose,
-    freeze,
     intmat,
     is_zero_mat,
     product_is_zero,
     reduce_complex,
 )
 
-from conftest import direct_sum_complexes, random_cochain_complex
+from conftest import small_complexes
 
 
 def euler(c):
@@ -39,22 +38,6 @@ def dense_dd_zero(c):
         if not is_zero_mat(prod):
             return False
     return True
-
-
-@st.composite
-def small_complexes(draw):
-    """Random complexes with entries in -3..3: a random complex plus a
-    complex with entries in -1..1 scaled by 2 or 3, so non-unit pivots
-    survive the reduction."""
-    rng = draw(st.randoms(use_true_random=False))
-    ring = draw(st.sampled_from(["Z", "Q"]))
-    base = random_cochain_complex(rng, max_k=3, max_rank=4, max_entry=3, ring=ring)
-    unit = random_cochain_complex(rng, max_k=3, max_rank=3, max_entry=1, ring=ring)
-    scale = draw(st.sampled_from([2, 3, -2, -3]))
-    scaled = CochainComplex(
-        ring, unit.ranks, [freeze(scale * d) for d in unit.differentials]
-    )
-    return direct_sum_complexes(base, scaled)
 
 
 @settings(max_examples=150, deadline=None)

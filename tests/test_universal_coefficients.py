@@ -1,0 +1,83 @@
+"""Coefficient cohomology by the universal coefficient theorem, and the
+Smith normal forms behind plain cohomology.
+
+The coefficient groups are checked against the block-diagonal free
+expansion in ``conftest.coefficient_expansion``, whose plain cohomology
+involves no Tor or tensor arithmetic; canonical forms of cyclic sums are
+checked against the Smith normal form of their diagonal matrix.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nccw import exacthom
+from nccw.exacthom import (
+    CochainComplex,
+    FGAbelianGroup,
+    all_cohomology,
+    cohomology_at,
+    cohomology_with_coefficients,
+    intmat,
+    reduce_complex,
+    snf_diagonal,
+)
+
+from conftest import coefficient_expansion, small_complexes
+
+groups = st.builds(
+    FGAbelianGroup.from_cyclic_orders,
+    st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 9, 12]), max_size=3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_complexes(rings=("Z",)), groups)
+def test_coefficients_match_free_expansion(c, group):
+    expected = all_cohomology(coefficient_expansion(c, group))[1:]
+    assert cohomology_with_coefficients(c, group) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(rings=("Q",)), st.integers(0, 3))
+def test_rational_coefficients_scale_ranks(c, n):
+    got = cohomology_with_coefficients(c, FGAbelianGroup.free(n))
+    assert got == [FGAbelianGroup.free(n * g.free_rank) for g in all_cohomology(c)]
+
+
+def test_rational_torsion_coefficients_refused():
+    c = CochainComplex("Q", [1, 1], [intmat([[0]])])
+    with pytest.raises(ValueError):
+        cohomology_with_coefficients(c, FGAbelianGroup(1, (2,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=7))
+def test_cyclic_orders_match_smith_form_of_diagonal(orders):
+    n = len(orders)
+    diag = snf_diagonal(intmat([[d if i == j else 0 for j in range(n)] for i, d in
+                                enumerate(orders)], shape=(n, n)))
+    expected = FGAbelianGroup(n - len(diag), tuple(d for d in diag if d >= 2))
+    assert FGAbelianGroup.from_cyclic_orders(orders) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes())
+def test_one_smith_form_per_reduced_differential(c):
+    with mock.patch.object(exacthom, "snf_diagonal", wraps=snf_diagonal) as diag, \
+            mock.patch.object(exacthom, "smith_normal_form",
+                              wraps=exacthom.smith_normal_form) as snf:
+        all_cohomology(c)
+    assert diag.call_count == snf.call_count == len(reduce_complex(c).differentials)
+
+
+def test_one_degree_takes_two_smith_forms():
+    # no unit entries, so nothing is reduced away
+    c = CochainComplex("Z", [2, 2, 1], [intmat([[2, 0], [0, 0]]), intmat([[0, 3]])])
+    with mock.patch.object(exacthom, "smith_normal_form",
+                           wraps=exacthom.smith_normal_form) as snf:
+        group = cohomology_at(c, 1)
+    assert snf.call_count == 2
+    assert group == FGAbelianGroup(0, (2,))
