@@ -26,6 +26,7 @@ from .errors import (
 from .exacthom import (
     CochainComplex,
     FGAbelianGroup,
+    IntMatrix,
     all_cohomology,
     cohomology_at,
     cohomology_with_coefficients,

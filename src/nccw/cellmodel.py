@@ -22,22 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     ComplexViolation,
     EndpointPairAtHigherStage,
     OutOfRange,
     ShapeMismatch,
 )
-from .exacthom import (
-    RING_Q,
-    RING_Z,
-    CochainComplex,
-    freeze,
-    intmat,
-    product_is_zero,
-)
+from .exacthom import RING_Q, RING_Z, CochainComplex, IntMatrix, intmat
 from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism, k0_map
 
 
@@ -57,7 +48,7 @@ class EndpointPair:
 class ProvidedCoboundary:
     """Attaching data reduced to an explicit coboundary matrix."""
 
-    delta: np.ndarray = field(repr=False)
+    delta: IntMatrix = field(repr=False)
 
     def __init__(self, delta, shape: tuple[int, int] | None = None):
         object.__setattr__(self, "delta", intmat(delta, shape=shape))
@@ -85,27 +76,25 @@ class NCCWComplex:
     """A validated tower with derived cell counts and coboundaries.
 
     Instances are built through :func:`build`; they are immutable and all
-    derived data is computed once.
+    derived data is computed once.  ``cochain`` is the checked integer
+    cochain complex of the coboundaries.
     """
 
-    def __init__(self, stages: tuple[NCCWStage, ...], coboundaries: tuple[np.ndarray, ...]):
+    def __init__(self, stages: tuple[NCCWStage, ...], cochain: CochainComplex):
         self.stages = stages
-        self.coboundaries = coboundaries
-        self.cell_counts = tuple(s.cell_algebra.block_count for s in stages)
+        self.cochain = cochain
+        self.coboundaries = cochain.differentials
+        self.cell_counts = cochain.ranks
 
     @property
     def top_dimension(self) -> int:
         return len(self.stages) - 1
 
-    @property
-    def stage_zero_algebra(self) -> FinDimAlgebra:
-        return self.stages[0].cell_algebra
-
     def __repr__(self) -> str:
         return f"NCCWComplex(cell_counts={list(self.cell_counts)})"
 
 
-def boundary_from_endpoints(phi0: MultMorphism, phi1: MultMorphism) -> np.ndarray:
+def boundary_from_endpoints(phi0: MultMorphism, phi1: MultMorphism) -> IntMatrix:
     """Coboundary induced by a stage-1 endpoint pair.
 
     The stage-1 extension has the suspension of the cell algebra as its
@@ -115,7 +104,7 @@ def boundary_from_endpoints(phi0: MultMorphism, phi1: MultMorphism) -> np.ndarra
     """
     if phi0.src != phi1.src or phi0.dst != phi1.dst:
         raise ShapeMismatch("endpoint morphisms must share domain and codomain")
-    return freeze(k0_map(phi0) - k0_map(phi1))
+    return k0_map(phi0) - k0_map(phi1)
 
 
 def build(stages) -> NCCWComplex:
@@ -124,6 +113,7 @@ def build(stages) -> NCCWComplex:
     Raises ``ComplexViolation(p)`` if two consecutive coboundaries fail to
     compose to zero, ``EndpointPairAtHigherStage`` if endpoint data shows
     up above dimension 1, and ``ShapeMismatch`` for inconsistent shapes.
+    This is the one place where d after d = 0 is checked for a tower.
     """
     stages = tuple(stages)
     if not stages:
@@ -134,7 +124,7 @@ def build(stages) -> NCCWComplex:
                 f"stage dimensions must be 0,1,...,k in order; found {st.dim} at index {i}"
             )
     counts = [s.cell_algebra.block_count for s in stages]
-    cobs: list[np.ndarray] = []
+    cobs: list[IntMatrix] = []
     for k in range(1, len(stages)):
         att = stages[k].attaching
         if isinstance(att, EndpointPair):
@@ -155,14 +145,16 @@ def build(stages) -> NCCWComplex:
                 f" {(counts[k], counts[k - 1])}"
             )
         cobs.append(delta)
-    for p in range(len(cobs) - 1):
-        if not product_is_zero(cobs[p + 1], cobs[p]):
-            raise ComplexViolation(
-                p,
-                f"attaching data of stages {p + 1} and {p + 2} are incompatible:"
-                f" delta_{p + 1} delta_{p} != 0",
-            )
-    return NCCWComplex(stages, tuple(cobs))
+    try:
+        cochain = CochainComplex(RING_Z, counts, cobs)
+    except ComplexViolation as exc:
+        p = exc.degree
+        raise ComplexViolation(
+            p,
+            f"attaching data of stages {p + 1} and {p + 2} are incompatible:"
+            f" delta_{p + 1} delta_{p} != 0",
+        ) from None
+    return NCCWComplex(stages, cochain)
 
 
 def from_classical_cw(cell_counts, chain_boundaries) -> NCCWComplex:
@@ -194,12 +186,11 @@ def cochain_complex(x: NCCWComplex, theory: str) -> CochainComplex:
     """The cellular cochain complex the engine consumes.
 
     Integer coefficients for K, rational for HP; the matrices are the
-    same integer coboundaries either way.
+    same integer coboundaries either way, checked once by ``build``.
     """
     if theory not in (THEORY_K, THEORY_HP):
         raise ValueError(f"unknown theory {theory!r}")
-    ring = RING_Z if theory == THEORY_K else RING_Q
-    return CochainComplex(ring, x.cell_counts, x.coboundaries)
+    return x.cochain.with_ring(RING_Z if theory == THEORY_K else RING_Q)
 
 
 def skeleton(x: NCCWComplex, p: int) -> NCCWComplex:

@@ -47,15 +47,14 @@ tower height.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import cellmodel, constructions, fibration, ssengine
 from .errors import NCCWError, OutOfRange
-from .exacthom import FGAbelianGroup, intmat
+from .exacthom import FGAbelianGroup, IntMatrix, intmat
 from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism
 from .ssengine import ASSEMBLY_UP_TO_EXTENSION, PARITY_EVEN, Assembly, Page
 
@@ -80,7 +79,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # undecodable text, bad syntax, or an integer literal longer than
+        # the interpreter converts from a string
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
         raise FileFormatError(f"{path}: JSON nested too deeply") from None
@@ -103,7 +104,7 @@ def _parse_sizes(obj, where: str, minimum: int) -> list[int]:
     return list(obj)
 
 
-def _parse_matrix(obj, shape: tuple[int, int], where: str) -> np.ndarray:
+def _parse_matrix(obj, shape: tuple[int, int], where: str) -> IntMatrix:
     if not isinstance(obj, list):
         raise FileFormatError(f"{where}: expected a matrix (list of rows)")
     rows, cols = shape
@@ -136,7 +137,7 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
     """Schema errors raise ``FileFormatError``; the assembled stages are
     then validated by :func:`cellmodel.build`, whose failures are domain
     errors.  The ``NCCW_MAX_DIM`` height cap applies to every complex
-    parsed, inline or not."""
+    parsed, inline or not, as soon as its height is known."""
     obj = _expect_object(obj, "complex file")
     name = obj.get("name", default_name)
     if not isinstance(name, str):
@@ -144,6 +145,7 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
     if "classical_cw" in obj:
         cw = _expect_object(obj["classical_cw"], "classical_cw")
         counts = _parse_sizes(cw.get("counts"), "classical_cw.counts", 0)
+        _check_height(len(counts) - 1)
         raw = cw.get("boundaries")
         if not isinstance(raw, list) or len(raw) != max(len(counts) - 1, 0):
             raise FileFormatError(
@@ -153,12 +155,13 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
             _parse_matrix(b, (counts[p], counts[p + 1]), f"boundary {p + 1}")
             for p, b in enumerate(raw)
         ]
-        return name, _capped(cellmodel.from_classical_cw(counts, boundaries))
+        return name, cellmodel.from_classical_cw(counts, boundaries)
     if "stages" not in obj:
         raise FileFormatError("complex file needs 'stages' or 'classical_cw'")
     raw_stages = obj["stages"]
     if not isinstance(raw_stages, list) or not raw_stages:
         raise FileFormatError("'stages' must be a nonempty list")
+    _check_height(len(raw_stages) - 1)
     stages = []
     prev_count = None
     for idx, rec in enumerate(raw_stages):
@@ -193,16 +196,13 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
                 raise FileFormatError(f"stage {idx}: needs 'phi0'/'phi1' or 'delta'")
             stages.append(cellmodel.NCCWStage(dim, alg, attaching))
         prev_count = stages[-1].cell_algebra.block_count
-    return name, _capped(cellmodel.build(stages))
+    return name, cellmodel.build(stages)
 
 
-def _capped(built: cellmodel.NCCWComplex) -> cellmodel.NCCWComplex:
+def _check_height(height: int) -> None:
     cap = _dim_cap()
-    if built.top_dimension > cap:
-        raise OutOfRange(
-            f"tower height {built.top_dimension} exceeds NCCW_MAX_DIM={cap}"
-        )
-    return built
+    if height > cap:
+        raise OutOfRange(f"tower height {height} exceeds NCCW_MAX_DIM={cap}")
 
 
 def load_complex(path: str) -> tuple[str, cellmodel.NCCWComplex]:
@@ -371,22 +371,10 @@ def complex_payload(name: str, x: cellmodel.NCCWComplex) -> dict:
 def suspended_payload(name: str, x: cellmodel.NCCWComplex) -> dict:
     """Complex file of the suspension: every stage moves up one dimension
     above a zero stage-0 algebra; coboundaries ride along."""
-    stages: list[dict] = [{"dim": 0, "algebra": []}]
-    stages.append(
-        {
-            "dim": 1,
-            "F": list(x.stages[0].cell_algebra.sizes),
-            "delta": [[] for _ in range(x.cell_counts[0])],
-        }
-    )
-    for k in range(1, x.top_dimension + 1):
-        stages.append(
-            {
-                "dim": k + 1,
-                "F": list(x.stages[k].cell_algebra.sizes),
-                "delta": x.coboundaries[k - 1].tolist(),
-            }
-        )
+    bottom, *rest = complex_payload(name, x)["stages"]
+    sizes = bottom["algebra"]
+    stages = [{"dim": 0, "algebra": []}, {"dim": 1, "F": sizes, "delta": [[] for _ in sizes]}]
+    stages += [dict(s, dim=s["dim"] + 1) for s in rest]
     return {"name": f"{name}_suspended", "stages": stages}
 
 
@@ -527,8 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built at the first call of ``main`` and kept for the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InvalidMorphism, ShapeMismatch
 from .exacthom import (
     ORIENT_COHOMOLOGICAL,
     CochainComplex,
-    freeze,
+    IntMatrix,
     identity,
     intmat,
-    mat_eq,
+    stack,
     zeros,
 )
 from .ssengine import Assembly, compute_theories
@@ -46,7 +44,7 @@ class CellularMorphism:
 
     src: CochainComplex
     dst: CochainComplex
-    maps: tuple[np.ndarray, ...] = field(repr=False)
+    maps: tuple[IntMatrix, ...] = field(repr=False)
 
     def __init__(self, src: CochainComplex, dst: CochainComplex, maps):
         if src.orientation != ORIENT_COHOMOLOGICAL or dst.orientation != ORIENT_COHOMOLOGICAL:
@@ -69,15 +67,13 @@ class CellularMorphism:
             else:
                 full.append(zeros(*expect))
         for p in range(top):
-            left = full[p + 1] @ src.differential(p)
-            right = dst.differential(p) @ full[p]
-            if not mat_eq(left, right):
+            if full[p + 1] @ src.differential(p) != dst.differential(p) @ full[p]:
                 raise InvalidMorphism(f"commuting square fails between degrees {p} and {p + 1}")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "maps", tuple(full))
 
-    def map_at(self, p: int) -> np.ndarray:
+    def map_at(self, p: int) -> IntMatrix:
         if 0 <= p < len(self.maps):
             return self.maps[p]
         return zeros(self.dst.rank(p), self.src.rank(p))
@@ -129,17 +125,11 @@ def mapping_cone_complex(f: CellularMorphism) -> CochainComplex:
     def cone_rank(p: int) -> int:
         return dst.rank(p) + src.rank(p + 1)
 
-    def cone_diff(p: int) -> np.ndarray:
-        rows_b, rows_a = dst.rank(p + 1), src.rank(p + 2)
-        cols_b, cols_a = dst.rank(p), src.rank(p + 1)
-        out = np.zeros((rows_b + rows_a, cols_b + cols_a), dtype=object)
-        if rows_b and cols_b:
-            out[:rows_b, :cols_b] = dst.differential(p)
-        if rows_b and cols_a:
-            out[:rows_b, cols_b:] = f.map_at(p + 1)
-        if rows_a and cols_a:
-            out[rows_b:, cols_b:] = np.negative(src.differential(p + 1))
-        return freeze(out)
+    def cone_diff(p: int) -> IntMatrix:
+        return stack([
+            [dst.differential(p), f.map_at(p + 1)],
+            [zeros(src.rank(p + 2), dst.rank(p)), -src.differential(p + 1)],
+        ])
 
     ranks = [0] + [cone_rank(p) for p in range(lo, hi + 1)]
     diffs = [zeros(cone_rank(lo), 0)] + [cone_diff(p) for p in range(lo, hi)]

@@ -1,15 +1,18 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is computed with arbitrary-precision Python integers held
-in numpy object arrays; no floating point is used anywhere.  The module
-provides Smith normal form with unimodular transforms, finitely generated
+Everything here is computed with arbitrary-precision Python integers; no
+floating point is used anywhere.  The module provides one exact matrix
+type, Smith normal form with unimodular transforms, finitely generated
 abelian groups in invariant-factor normal form, integer cochain complexes,
 and their (co)homology with or without coefficients.
 
 Conventions
 -----------
-* A matrix is a 2-d numpy array with ``dtype=object`` and Python ``int``
-  entries, frozen (``writeable = False``) after construction.
+* A matrix is a frozen :class:`IntMatrix`: one dict per row from the
+  column of each nonzero entry to its Python ``int`` value, as in the
+  sparse elimination of Dumas, Heckenbach, Saunders and Welker (2003).
+  :func:`intmat` is the one constructor that validates outside data; the
+  Smith normal form core works on dense lists of rows.
 * ``FGAbelianGroup(free_rank, torsion)`` is the canonical form
   ``Z^free_rank (+) Z/d_1 (+) ... (+) Z/d_t`` with ``d_1 | d_2 | ...`` and
   every ``d_i >= 2``.  Equality of groups is structural equality of the
@@ -23,10 +26,9 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .errors import ComplexViolation, OutOfRange, ShapeMismatch
 
@@ -38,28 +40,103 @@ ORIENT_HOMOLOGICAL = "homological"
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers
+# the matrix type
 
 
-def intmat(data, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Build a frozen exact integer matrix from a nested sequence.
+class IntMatrix:
+    """A frozen exact integer matrix stored by sparse rows.
+
+    ``rows[i]`` maps the column of each nonzero entry of row ``i`` to its
+    value; zeros are never stored.  No operation modifies a matrix, every
+    one returns a new one.  Build matrices from outside data with
+    :func:`intmat`, which validates; the constructor trusts its rows.
+    """
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: tuple[int, int], rows):
+        self.shape = shape
+        self.rows = tuple(rows)
+
+    @classmethod
+    def _dense(cls, rows, ncols: int) -> "IntMatrix":
+        return cls((len(rows), ncols), [{j: x for j, x in enumerate(r) if x} for r in rows])
+
+    def __getitem__(self, index) -> int:
+        i, j = index
+        if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
+            raise IndexError(f"index {index} outside shape {self.shape}")
+        return self.rows[i].get(j, 0)
+
+    @property
+    def flat(self):
+        """The nonzero entries, row by row."""
+        return (x for row in self.rows for x in row.values())
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.rows)
+
+    @property
+    def T(self) -> "IntMatrix":
+        cols = [{} for _ in range(self.shape[1])]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return IntMatrix(self.shape[::-1], cols)
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.shape[1] != other.shape[0]:
+            raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        b_rows = other.rows
+        out = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                for j, y in b_rows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix((self.shape[0], other.shape[1]), out)
+
+    def __neg__(self) -> "IntMatrix":
+        return IntMatrix(self.shape, [{j: -x for j, x in row.items()} for row in self.rows])
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"cannot subtract {other.shape} from {self.shape}")
+        return IntMatrix(self.shape, [
+            {j: v for j in a.keys() | b.keys() if (v := a.get(j, 0) - b.get(j, 0))}
+            for a, b in zip(self.rows, other.rows)
+        ])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+    __hash__ = None
+
+    def tolist(self) -> list[list[int]]:
+        return [[row.get(j, 0) for j in range(self.shape[1])] for row in self.rows]
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.tolist()!r}, shape={self.shape})"
+
+
+def intmat(data, shape: tuple[int, int] | None = None) -> IntMatrix:
+    """The validating constructor: a matrix from a nested sequence of
+    integers, or an existing matrix checked against ``shape``.
 
     ``shape`` disambiguates matrices with zero rows or zero columns, where
     the nested-list form cannot carry the missing dimension.
     """
-    if isinstance(data, np.ndarray):
-        if data.ndim != 2:
-            raise ShapeMismatch(f"expected a 2-d matrix, got {data.ndim}-d")
-        rows = data.tolist()
-        inferred: tuple[int, int] | None = data.shape
-    else:
-        rows = [list(r) for r in data]
-        inferred = None
+    if isinstance(data, IntMatrix):
+        if shape is not None and data.shape != tuple(shape):
+            raise ShapeMismatch(f"expected shape {shape}, got {data.shape[0]}x{data.shape[1]}")
+        return data
+    rows = [list(r) for r in data]
     nrows = len(rows)
-    if inferred is not None:
-        ncols = inferred[1]
-    else:
-        ncols = len(rows[0]) if nrows else (shape[1] if shape else 0)
+    ncols = len(rows[0]) if nrows else (shape[1] if shape else 0)
     if shape is not None:
         if nrows != shape[0] or (nrows > 0 and ncols != shape[1]):
             raise ShapeMismatch(f"expected shape {shape}, got {nrows}x{ncols}")
@@ -69,89 +146,57 @@ def intmat(data, shape: tuple[int, int] | None = None) -> np.ndarray:
             raise ShapeMismatch(f"row {i} has length {len(row)}, expected {ncols}")
         if not set(map(type, row)) <= {int}:
             rows[i] = [_checked_int(x, i, j) for j, x in enumerate(row)]
-    out = np.empty((nrows, ncols), dtype=object)
-    if nrows and ncols:
-        out[:] = rows
-    out.flags.writeable = False
-    return out
+    return IntMatrix._dense(rows, ncols)
 
 
 def _checked_int(x, i: int, j: int) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise ShapeMismatch(f"entry ({i},{j}) is not an integer: {x!r}")
-    return int(x)
+    return operator.index(x)
 
 
-def zeros(nrows: int, ncols: int) -> np.ndarray:
-    out = np.zeros((nrows, ncols), dtype=object)
-    out.flags.writeable = False
-    return out
+def zeros(nrows: int, ncols: int) -> IntMatrix:
+    return IntMatrix((nrows, ncols), [{} for _ in range(nrows)])
 
 
-def identity(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    out.flags.writeable = False
-    return out
+def identity(n: int) -> IntMatrix:
+    return IntMatrix((n, n), [{i: 1} for i in range(n)])
 
 
-def freeze(arr: np.ndarray) -> np.ndarray:
-    if arr.dtype != object:
-        arr = arr.astype(object)
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
+def stack(blocks: list[list[IntMatrix]]) -> IntMatrix:
+    """Block matrix from a list of block rows.  The blocks of one block row
+    share their number of rows, and every block row has the same total
+    number of columns."""
+    rows: list[dict[int, int]] = []
+    width = None
+    for band in blocks:
+        height = band[0].shape[0]
+        band_width = sum(m.shape[1] for m in band)
+        if any(m.shape[0] != height for m in band) or width not in (None, band_width):
+            raise ShapeMismatch(f"blocks {[m.shape for m in band]} do not fit together")
+        width = band_width
+        for i in range(height):
+            row, offset = {}, 0
+            for m in band:
+                row.update((offset + j, x) for j, x in m.rows[i].items())
+                offset += m.shape[1]
+            rows.append(row)
+    return IntMatrix((len(rows), width or 0), rows)
 
 
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.array_equal(a, b))
+def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """Decide ``a @ b == 0`` exactly: the d after d check of a complex."""
+    return (a @ b).is_zero
 
 
-def is_zero_mat(a: np.ndarray) -> bool:
-    return a.size == 0 or not np.any(a != 0)
-
-
-def product_is_zero(a: np.ndarray, b: np.ndarray) -> bool:
-    """Decide ``a @ b == 0`` exactly, multiplying only nonzero entries.
-
-    Each row of the product is accumulated from the nonzero entries of
-    the row of ``a`` and the nonzero entries of the matching rows of
-    ``b``, so the cost follows the number of nonzero entries rather than
-    the cube of the size.
-    """
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
-    for row in a.tolist():
-        acc = [0] * b.shape[1]
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        if any(acc):
-            return False
-    return True
-
-
-def hstack_mats(mats: list[np.ndarray], nrows: int) -> np.ndarray:
-    mats = [m for m in mats if m.shape[1] > 0]
-    if not mats:
-        return zeros(nrows, 0)
-    for m in mats:
-        if m.shape[0] != nrows:
-            raise ShapeMismatch("hstack row counts disagree")
-    return freeze(np.concatenate(mats, axis=1))
-
-
-def determinant(mat: np.ndarray) -> int:
+def determinant(mat: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ShapeMismatch("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in mat]
+    a = mat.tolist()
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -188,25 +233,21 @@ def _min_abs_pivot(a, m, n, t):
     return (best[1], best[2]) if best else None
 
 
-def _smith_core(mat: np.ndarray, want_uinv: bool):
+def _smith_core(mat: IntMatrix):
     """Diagonalize by unimodular row/column operations.
 
     Pivots are chosen with minimal absolute value to limit coefficient
-    growth.  Row operations accumulate in ``U`` (and inversely in ``Uinv``
-    when requested), column operations in ``V``.
+    growth.  Row operations accumulate in ``U``, column operations in
+    ``V``.
     """
     m, n = mat.shape
-    a = [[int(x) for x in row] for row in mat]
+    a = mat.tolist()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_uinv else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
-        if Ui is not None:
-            for r in range(m):
-                Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
 
     def row_add(i, j, k):
         # row_i += k * row_j
@@ -216,16 +257,10 @@ def _smith_core(mat: np.ndarray, want_uinv: bool):
         ui, uj = U[i], U[j]
         for c in range(m):
             ui[c] += k * uj[c]
-        if Ui is not None:
-            for r in range(m):
-                Ui[r][j] -= k * Ui[r][i]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         U[i] = [-x for x in U[i]]
-        if Ui is not None:
-            for r in range(m):
-                Ui[r][i] = -Ui[r][i]
 
     def swap_cols(i, j):
         for r in range(m):
@@ -289,25 +324,20 @@ def _smith_core(mat: np.ndarray, want_uinv: bool):
             negate_row(t)
         t += 1
 
-    D = intmat(a, shape=(m, n))
-    Um = intmat(U, shape=(m, m))
-    Vm = intmat(V, shape=(n, n))
-    Uim = intmat(Ui, shape=(m, m)) if Ui is not None else None
-    _check_snf(mat, Um, D, Vm, Uim)
-    return Um, D, Vm, Uim
+    Um, D, Vm = IntMatrix._dense(U, m), IntMatrix._dense(a, n), IntMatrix._dense(V, n)
+    _check_snf(mat, Um, D, Vm)
+    return Um, D, Vm
 
 
-def _check_snf(M, U, D, V, Ui):
+def _check_snf(M, U, D, V):
     """Postconditions checked on every factorization: U M V = D, the
     diagonal divisibility chain, and unimodularity of the transforms."""
-    if not mat_eq(U @ M @ V, D):
+    if U @ M @ V != D:
         raise RuntimeError("SNF postcondition failed: U M V != D")
     m, n = D.shape
-    diag = [int(D[i, i]) for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j and D[i, j] != 0:
-                raise RuntimeError("SNF postcondition failed: D not diagonal")
+    if any(j != i for i, row in enumerate(D.rows) for j in row):
+        raise RuntimeError("SNF postcondition failed: D not diagonal")
+    diag = [D[i, i] for i in range(min(m, n))]
     for i in range(len(diag) - 1):
         if diag[i] == 0 and diag[i + 1] != 0:
             raise RuntimeError("SNF postcondition failed: zero before nonzero")
@@ -315,44 +345,39 @@ def _check_snf(M, U, D, V, Ui):
             raise RuntimeError("SNF postcondition failed: divisibility chain")
     if abs(determinant(U)) != 1 or abs(determinant(V)) != 1:
         raise RuntimeError("SNF postcondition failed: transform not unimodular")
-    if Ui is not None and not mat_eq(U @ Ui, identity(m)):
-        raise RuntimeError("SNF postcondition failed: U inverse wrong")
 
 
-def smith_normal_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return ``(U, D, V)`` with ``U @ mat @ V == D``.
 
     ``U`` and ``V`` are unimodular and ``D`` is diagonal with nonnegative
     entries ``d_1 | d_2 | ...`` (zeros trailing).  Postconditions are
     re-verified exactly on every call.
     """
-    U, D, V, _ = _smith_core(intmat(mat), want_uinv=False)
-    return U, D, V
+    return _smith_core(intmat(mat))
 
 
-def snf_diagonal(mat: np.ndarray) -> list[int]:
+def snf_diagonal(mat: IntMatrix) -> list[int]:
     _, D, _ = smith_normal_form(mat)
-    return [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
+    return [row[i] for i, row in enumerate(D.rows) if row]
 
 
-def matrix_rank(mat: np.ndarray) -> int:
+def matrix_rank(mat: IntMatrix) -> int:
     """Rank over the rationals (equivalently the number of nonzero
     invariant factors)."""
     return len(snf_diagonal(mat))
 
 
-def kernel_basis(mat: np.ndarray) -> np.ndarray:
+def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel ``{x : mat @ x = 0}``."""
     _, D, V = smith_normal_form(mat)
-    r = len([i for i in range(min(D.shape)) if D[i, i] != 0])
-    return freeze(V[:, r:])
+    r = sum(1 for row in D.rows if row)
+    return IntMatrix(
+        (V.shape[0], V.shape[1] - r),
+        [{j - r: x for j, x in row.items() if j >= r} for row in V.rows],
+    )
 
 
-def cokernel_invariants(mat: np.ndarray) -> tuple[int, list[int]]:
-    """Structure of ``Z^rows / column span``: (free rank, invariant factors >= 2)."""
-    diag = snf_diagonal(mat)
-    free = mat.shape[0] - len(diag)
-    return free, [d for d in diag if d >= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -451,31 +476,33 @@ class FGAbelianGroup:
         return self.render()
 
 
-def cokernel_group(mat: np.ndarray) -> FGAbelianGroup:
-    free, tors = cokernel_invariants(mat)
-    return FGAbelianGroup(free, tuple(tors))
+def cokernel_group(mat: IntMatrix) -> FGAbelianGroup:
+    """``Z^rows / column span`` in canonical form."""
+    diag = snf_diagonal(mat)
+    return FGAbelianGroup(mat.shape[0] - len(diag), tuple(d for d in diag if d >= 2))
 
 
 # ---------------------------------------------------------------------------
 # lattice subquotients (used by the spectral-sequence engine)
 
 
-def relation_matrix(orders: list[int]) -> np.ndarray:
+def relation_matrix(orders: list[int]) -> IntMatrix:
     """Columns ``d_i * e_i`` for the finite orders in a canonical
     presentation (order 0 marks a free generator and contributes nothing)."""
-    m = len(orders)
-    cols = [i for i, d in enumerate(orders) if d != 0]
-    out = np.zeros((m, len(cols)), dtype=object)
-    for j, i in enumerate(cols):
-        out[i, j] = int(orders[i])
-    return freeze(out)
+    rows: list[dict[int, int]] = [{} for _ in orders]
+    j = 0
+    for i, d in enumerate(orders):
+        if d != 0:
+            rows[i] = {j: int(d)}
+            j += 1
+    return IntMatrix((len(orders), j), rows)
 
 
 def presented_subquotient(
     orders: list[int],
-    out_map: np.ndarray | None,
+    out_map: IntMatrix | None,
     out_orders: list[int],
-    in_map: np.ndarray | None,
+    in_map: IntMatrix | None,
 ) -> FGAbelianGroup:
     """Kernel-mod-image inside a presented group.
 
@@ -487,39 +514,36 @@ def presented_subquotient(
     """
     m = len(orders)
     rel = relation_matrix(orders)
-    if out_map is None or is_zero_mat(out_map):
+    if out_map is None or out_map.is_zero:
         kgen = identity(m)
     else:
         if out_map.shape[1] != m:
             raise ShapeMismatch("outgoing map has wrong number of columns")
         out_rel = relation_matrix(out_orders)
-        stacked = hstack_mats([freeze(np.negative(out_rel)), out_map], out_map.shape[0])
         # kernel columns are (y, x) pairs with out_map @ x = out_rel @ y;
         # the x block spans the preimage of the target relation lattice
-        kgen = freeze(kernel_basis(stacked)[out_rel.shape[1] :, :])
+        kernel = kernel_basis(stack([[-out_rel, out_map]]))
+        kgen = IntMatrix((m, kernel.shape[1]), kernel.rows[out_rel.shape[1] :])
     jcols = [rel]
-    if in_map is not None and not is_zero_mat(in_map):
+    if in_map is not None and not in_map.is_zero:
         if in_map.shape[0] != m:
             raise ShapeMismatch("incoming map has wrong number of rows")
         jcols.append(in_map)
-    jmat = hstack_mats(jcols, m)
+    jmat = stack([jcols])
 
-    U, D, _, _ = _smith_core(kgen, want_uinv=False)
-    diag = [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
+    U, D, _ = _smith_core(kgen)
+    diag = [row[i] for i, row in enumerate(D.rows) if row]
     r = len(diag)
-    coords = U @ jmat
-    x = np.zeros((r, jmat.shape[1]), dtype=object)
-    for i in range(coords.shape[0]):
-        for j in range(coords.shape[1]):
-            v = int(coords[i, j])
-            if i >= r:
-                if v != 0:
-                    raise ShapeMismatch("image does not lie inside the kernel")
-            else:
-                if v % diag[i] != 0:
-                    raise ShapeMismatch("image does not lie inside the kernel lattice")
-                x[i, j] = v // diag[i]
-    return cokernel_group(freeze(x))
+    x = []
+    for i, row in enumerate((U @ jmat).rows):
+        if i >= r:
+            if row:
+                raise ShapeMismatch("image does not lie inside the kernel")
+        else:
+            if any(v % diag[i] for v in row.values()):
+                raise ShapeMismatch("image does not lie inside the kernel lattice")
+            x.append({j: v // diag[i] for j, v in row.items()})
+    return cokernel_group(IntMatrix((r, jmat.shape[1]), x))
 
 
 def rational_subquotient(dim: int, out_map, in_map) -> int:
@@ -552,26 +576,20 @@ class CochainComplex:
         if len(diffs) != len(ranks) - 1:
             raise ShapeMismatch("need exactly one differential per adjacent degree pair")
         for p, d in enumerate(diffs):
-            expect = self._expected_shape(orientation, ranks, p)
+            expect = (ranks[p + 1], ranks[p])
+            if orientation == ORIENT_HOMOLOGICAL:
+                expect = expect[::-1]
             if d.shape != expect:
                 raise ShapeMismatch(f"differential {p} has shape {d.shape}, expected {expect}")
-        for p in range(len(diffs) - 1):
-            if orientation == ORIENT_COHOMOLOGICAL:
-                vanishes = product_is_zero(diffs[p + 1], diffs[p])
-            else:
-                vanishes = product_is_zero(diffs[p], diffs[p + 1])
-            if not vanishes:
+        for p, (first, second) in enumerate(zip(diffs, diffs[1:])):
+            if orientation == ORIENT_HOMOLOGICAL:
+                first, second = second, first
+            if not product_is_zero(second, first):
                 raise ComplexViolation(p)
         self.ring = ring
         self.ranks = ranks
         self.differentials = tuple(diffs)
         self.orientation = orientation
-
-    @staticmethod
-    def _expected_shape(orientation, ranks, p):
-        if orientation == ORIENT_COHOMOLOGICAL:
-            return (ranks[p + 1], ranks[p])
-        return (ranks[p], ranks[p + 1])
 
     @property
     def top_degree(self) -> int:
@@ -582,7 +600,7 @@ class CochainComplex:
             return self.ranks[p]
         return 0
 
-    def differential(self, p: int) -> np.ndarray:
+    def differential(self, p: int) -> IntMatrix:
         """The stored matrix at index ``p``, or an appropriately shaped zero
         matrix outside the stored range."""
         if 0 <= p < len(self.differentials):
@@ -598,7 +616,7 @@ class CochainComplex:
             self.ring == other.ring
             and self.ranks == other.ranks
             and self.orientation == other.orientation
-            and all(mat_eq(a, b) for a, b in zip(self.differentials, other.differentials))
+            and self.differentials == other.differentials
         )
 
     __hash__ = None
@@ -606,21 +624,25 @@ class CochainComplex:
     def __repr__(self) -> str:
         return f"CochainComplex(ring={self.ring}, ranks={list(self.ranks)}, {self.orientation})"
 
+    def with_ring(self, ring: str) -> "CochainComplex":
+        """The same differentials over ``ring``; they were checked when this
+        complex was built, so nothing is checked again."""
+        return self._derived(ring, self.differentials, self.orientation)
+
+    def _derived(self, ring: str, differentials, orientation: str) -> "CochainComplex":
+        # a complex made from this one's checked data (ring change, transpose)
+        out = object.__new__(CochainComplex)
+        out.ring, out.ranks, out.orientation = ring, self.ranks, orientation
+        out.differentials = tuple(differentials)
+        return out
+
 
 def dual_transpose(c: CochainComplex) -> CochainComplex:
     """Transpose every differential and flip the orientation tag."""
     flipped = (
         ORIENT_HOMOLOGICAL if c.orientation == ORIENT_COHOMOLOGICAL else ORIENT_COHOMOLOGICAL
     )
-    return CochainComplex(c.ring, c.ranks, [freeze(d.T) for d in c.differentials], flipped)
-
-
-def _boundary_maps_at(c: CochainComplex, p: int):
-    """(outgoing, incoming) matrices whose kernel/image compute the
-    (co)homology at degree ``p`` in the complex's own orientation."""
-    if c.orientation == ORIENT_COHOMOLOGICAL:
-        return c.differential(p), c.differential(p - 1)
-    return c.differential(p - 1), c.differential(p)
+    return c._derived(c.ring, [d.T for d in c.differentials], flipped)
 
 
 def _group_from_diagonals(ring: str, rank: int, out_diag, in_diag) -> FGAbelianGroup:
@@ -644,7 +666,10 @@ def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
     of each map at that degree."""
     if not 0 <= p <= c.top_degree:
         raise OutOfRange(f"degree {p} outside 0..{c.top_degree}")
-    out_map, in_map = _boundary_maps_at(c, p)
+    # the maps out of and into degree p, in the complex's own orientation
+    out_map, in_map = c.differential(p), c.differential(p - 1)
+    if c.orientation == ORIENT_HOMOLOGICAL:
+        out_map, in_map = in_map, out_map
     return _group_from_diagonals(c.ring, c.rank(p), snf_diagonal(out_map), snf_diagonal(in_map))
 
 
@@ -685,11 +710,10 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
     for s, mat in enumerate(mats):
         row_map: dict[int, dict[int, int]] = {}
         col_map: dict[int, set[int]] = {j: set() for j in range(ranks[s])}
-        for i, row in enumerate(mat.tolist()):
-            entries = {j: x for j, x in enumerate(row) if x}
-            if entries:
-                row_map[i] = entries
-                for j, x in entries.items():
+        for i, row in enumerate(mat.rows):
+            if row:
+                row_map[i] = dict(row)
+                for j, x in row.items():
                     col_map[j].add(i)
                     has_unit = has_unit or x in (1, -1)
         rows.append(row_map)
@@ -750,12 +774,10 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
     index = [{old: new for new, old in enumerate(kept)} for kept in keep]
     out_mats = []
     for s, row_map in enumerate(rows):
-        dense = [[0] * len(keep[s]) for _ in keep[s + 1]]
+        out: list[dict[int, int]] = [{} for _ in keep[s + 1]]
         for i, row in row_map.items():
-            target = dense[index[s + 1][i]]
-            for j, x in row.items():
-                target[index[s][j]] = x
-        out_mats.append(intmat(dense, shape=(len(keep[s + 1]), len(keep[s]))))
+            out[index[s + 1][i]] = {index[s][j]: x for j, x in row.items()}
+        out_mats.append(IntMatrix((len(keep[s + 1]), len(keep[s])), out))
     out_ranks = [len(kept) for kept in keep]
     if c.orientation == ORIENT_HOMOLOGICAL:
         out_ranks.reverse()
@@ -781,7 +803,7 @@ def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
 
 
 def cohomology_with_coefficients(
-    c: CochainComplex, group: FGAbelianGroup
+    c: CochainComplex, group: FGAbelianGroup, plain: list[FGAbelianGroup] | None = None
 ) -> list[FGAbelianGroup]:
     """Cohomology of ``c`` with coefficients in ``group``, degree by degree.
 
@@ -789,14 +811,15 @@ def cohomology_with_coefficients(
     modules (Hatcher, *Algebraic Topology*, Thm 3A.3, with the degrees
     reversed) gives H^p(C; G) = H^p(C) (x) G (+) Tor(H^{p+1}(C), G), so
     everything follows from ``all_cohomology(c)`` by gcd arithmetic:
-    Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  The complex
-    must be cohomological; over Q the group must be torsion-free.
+    Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  A caller
+    that already holds ``all_cohomology(c)`` passes it as ``plain``.  The
+    complex must be cohomological; over Q the group must be torsion-free.
     """
     if c.orientation != ORIENT_COHOMOLOGICAL:
         raise ValueError("coefficient cohomology needs a cohomological complex")
     if c.ring == RING_Q and group.torsion:
         raise ValueError("rational coefficient cohomology needs a torsion-free group")
-    plain = all_cohomology(c) + [FGAbelianGroup.trivial()]
+    plain = (all_cohomology(c) if plain is None else plain) + [FGAbelianGroup.trivial()]
     out = []
     for h, nxt in zip(plain, plain[1:]):
         orders = [0] * (h.free_rank * group.free_rank) + list(h.torsion) * group.free_rank

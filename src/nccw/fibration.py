@@ -22,6 +22,7 @@ from .exacthom import (
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
+    all_cohomology,
     cohomology_with_coefficients,
 )
 from .findim import THEORY_HP, THEORY_K
@@ -79,15 +80,17 @@ def relative_coefficients(
 def leray_serre_e2(fib: SerreFibrationData) -> Page:
     """Second page: coefficient cohomology of the base, one row per fiber
     parity, 2-periodic in the fiber direction.  The base is over Z for K
-    and over Q for HP, whose coefficients are torsion-free."""
+    and over Q for HP, whose coefficients are torsion-free.  Its plain
+    cohomology is computed once and serves both parities."""
     if not fib.simple:
         raise NotSimple("local coefficient system declared non-simple")
     k = fib.base.top_degree
     entries = {}
-    for parity, group in ((PARITY_EVEN, fib.g_even), (PARITY_ODD, fib.g_odd)):
-        if group.is_trivial:
-            continue
-        for p, g in enumerate(cohomology_with_coefficients(fib.base, group)):
+    coefficients = ((PARITY_EVEN, fib.g_even), (PARITY_ODD, fib.g_odd))
+    rows = [(parity, group) for parity, group in coefficients if not group.is_trivial]
+    plain = all_cohomology(fib.base) if rows else []
+    for parity, group in rows:
+        for p, g in enumerate(cohomology_with_coefficients(fib.base, group, plain)):
             if not g.is_trivial:
                 entries[(p, parity)] = g
     return Page(2, k, fib.theory, entries, {})

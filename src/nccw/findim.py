@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ShapeMismatch, SizeOverflow
-from .exacthom import FGAbelianGroup, freeze, identity, intmat
+from .exacthom import FGAbelianGroup, IntMatrix, identity, intmat, zeros
 
 THEORY_K = "K"
 THEORY_HP = "HP"
@@ -57,7 +55,7 @@ class MultMorphism:
 
     src: FinDimAlgebra
     dst: FinDimAlgebra
-    mult: np.ndarray = field(repr=False)
+    mult: IntMatrix = field(repr=False)
 
     def __init__(self, src: FinDimAlgebra, dst: FinDimAlgebra, mult):
         object.__setattr__(self, "src", src)
@@ -70,9 +68,8 @@ class MultMorphism:
     @property
     def unital(self) -> bool:
         return all(
-            sum(int(self.mult[j, i]) * n for i, n in enumerate(self.src.sizes))
-            == self.dst.sizes[j]
-            for j in range(self.dst.block_count)
+            sum(x * self.src.sizes[i] for i, x in row.items()) == n
+            for row, n in zip(self.mult.rows, self.dst.sizes)
         )
 
     @classmethod
@@ -81,7 +78,7 @@ class MultMorphism:
 
     @classmethod
     def zero(cls, src: FinDimAlgebra, dst: FinDimAlgebra) -> "MultMorphism":
-        return cls(src, dst, np.zeros((dst.block_count, src.block_count), dtype=object))
+        return cls(src, dst, zeros(dst.block_count, src.block_count))
 
 
 def validate_morphism(f: MultMorphism) -> bool:
@@ -94,10 +91,10 @@ def validate_morphism(f: MultMorphism) -> bool:
     t, s = f.dst.block_count, f.src.block_count
     if f.mult.shape != (t, s):
         raise ShapeMismatch(f"multiplicity matrix is {f.mult.shape}, expected {(t, s)}")
-    if any(f.mult[j, i] < 0 for j in range(t) for i in range(s)):
+    if any(x < 0 for x in f.mult.flat):
         raise ShapeMismatch("multiplicities must be nonnegative")
-    for j in range(t):
-        needed = sum(int(f.mult[j, i]) * n for i, n in enumerate(f.src.sizes))
+    for j, row in enumerate(f.mult.rows):
+        needed = sum(x * f.src.sizes[i] for i, x in row.items())
         if needed > f.dst.sizes[j]:
             raise SizeOverflow(j, needed, f.dst.sizes[j])
     return f.unital
@@ -122,7 +119,7 @@ def theory_groups(a: FinDimAlgebra, theory: str) -> tuple[FGAbelianGroup, FGAbel
     return FGAbelianGroup.free(a.block_count), FGAbelianGroup.trivial()
 
 
-def k0_map(f: MultMorphism) -> np.ndarray:
-    """Matrix of the induced map on even theory groups (a copy of the
-    multiplicity matrix, which is exactly what K0 sees)."""
-    return freeze(np.array(f.mult, dtype=object))
+def k0_map(f: MultMorphism) -> IntMatrix:
+    """Matrix of the induced map on even theory groups: the multiplicity
+    matrix, which is exactly what K0 sees."""
+    return f.mult

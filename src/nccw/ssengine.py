@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from .errors import NotACocycleMap, OutOfRange, ShapeMismatch
 from .exacthom import (
     ORIENT_COHOMOLOGICAL,
@@ -31,11 +29,12 @@ from .exacthom import (
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
+    IntMatrix,
     all_cohomology,
     intmat,
-    is_zero_mat,
     presented_subquotient,
     rational_subquotient,
+    zeros,
 )
 from .findim import THEORY_HP, THEORY_K
 
@@ -53,15 +52,20 @@ def generator_orders(group: FGAbelianGroup) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Page:
-    """One page of the sequence: entries and differentials out of them."""
+    """One page of the sequence: entries and differentials out of them.
+
+    A first page made by :func:`from_cellular` keeps the checked complex
+    it came from as ``source``, and is turned through that complex."""
 
     r: int
     k: int
     theory: str
     entries: MappingProxyType
     differentials: MappingProxyType
+    source: CochainComplex | None
 
-    def __init__(self, r, k, theory, entries, differentials):
+    def __init__(self, r, k, theory, entries, differentials, source=None):
+        object.__setattr__(self, "source", source)
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "theory", theory)
@@ -73,7 +77,7 @@ class Page:
         object.__setattr__(
             self,
             "differentials",
-            MappingProxyType({key: m for key, m in differentials.items() if not is_zero_mat(m)}),
+            MappingProxyType({key: m for key, m in differentials.items() if not m.is_zero}),
         )
 
     def entry_at(self, p: int, parity: int) -> FGAbelianGroup:
@@ -82,20 +86,16 @@ class Page:
     def entry(self, p: int, q: int) -> FGAbelianGroup:
         return self.entry_at(p, q % 2)
 
-    def differential_out(self, p: int, parity: int) -> np.ndarray | None:
+    def differential_out(self, p: int, parity: int) -> IntMatrix | None:
         return self.differentials.get((p, parity % 2))
 
-    def differential(self, p: int, q: int) -> np.ndarray:
+    def differential(self, p: int, q: int) -> IntMatrix:
         """Matrix of d at (p, q); a zero matrix of the right shape when
         nothing nonzero is recorded."""
         stored = self.differential_out(p, q % 2)
         if stored is not None:
             return stored
-        src = self.entry(p, q)
-        dst = self.entry(p + self.r, q - self.r + 1)
-        out = np.zeros((dst.ngens, src.ngens), dtype=object)
-        out.flags.writeable = False
-        return out
+        return zeros(self.entry(p + self.r, q - self.r + 1).ngens, self.entry(p, q).ngens)
 
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.entries.keys())
@@ -167,10 +167,8 @@ def from_cellular(complex_: CochainComplex, theory: str) -> SpectralSequence:
         if complex_.rank(p) > 0:
             entries[(p, PARITY_EVEN)] = FGAbelianGroup.free(complex_.rank(p))
     for p in range(k):
-        d = complex_.differential(p)
-        if not is_zero_mat(d):
-            diffs[(p, PARITY_EVEN)] = d
-    return SpectralSequence(theory, k, (Page(1, k, theory, entries, diffs),))
+        diffs[(p, PARITY_EVEN)] = complex_.differential(p)
+    return SpectralSequence(theory, k, (Page(1, k, theory, entries, diffs, complex_),))
 
 
 def from_e2_page(page: Page) -> SpectralSequence:
@@ -201,7 +199,8 @@ def _turned_entry(ss: SpectralSequence, page: Page, p: int, parity: int) -> FGAb
 def _turned_first_page(page: Page) -> dict:
     """Entries of the second page.  The first page has free entries and
     d^1 keeps the parity, so each parity row is a cochain complex and its
-    cohomology is the next row."""
+    cohomology is the next row.  A page with a ``source`` is that complex
+    in its even row, already checked; any other row is checked here."""
     ring = RING_Z if page.theory == THEORY_K else RING_Q
     entries = {}
     for parity in (PARITY_EVEN, PARITY_ODD):
@@ -210,9 +209,13 @@ def _turned_first_page(page: Page) -> dict:
             continue
         if any(g.torsion for g in row):
             raise ShapeMismatch("entries of a first page must be free")
-        ranks = [g.free_rank for g in row]
-        diffs = [page.differential(p, parity) for p in range(page.k)]
-        for p, g in enumerate(all_cohomology(CochainComplex(ring, ranks, diffs))):
+        if page.source is not None and parity == PARITY_EVEN:
+            complex_ = page.source
+        else:
+            ranks = [g.free_rank for g in row]
+            diffs = [page.differential(p, parity) for p in range(page.k)]
+            complex_ = CochainComplex(ring, ranks, diffs)
+        for p, g in enumerate(all_cohomology(complex_)):
             entries[(p, parity)] = g
     return entries
 
@@ -243,7 +246,7 @@ def _check_well_defined(mat, src_orders, dst_orders):
         if dj == 0:
             continue
         for i, oi in enumerate(dst_orders):
-            v = dj * int(mat[i, j])
+            v = dj * mat[i, j]
             if (oi == 0 and v != 0) or (oi != 0 and v % oi != 0):
                 raise NotACocycleMap(
                     f"column {j} (order {dj}) does not respect the target relations"
@@ -251,12 +254,9 @@ def _check_well_defined(mat, src_orders, dst_orders):
 
 
 def _check_composite_zero(second, first, dst_orders, what):
-    prod = second @ first
-    for i, oi in enumerate(dst_orders):
-        for j in range(prod.shape[1]):
-            v = int(prod[i, j])
-            if (oi == 0 and v != 0) or (oi != 0 and v % oi != 0):
-                raise NotACocycleMap(f"composite with the {what} differential is nonzero")
+    for row, oi in zip((second @ first).rows, dst_orders):
+        if any(v % oi != 0 if oi else v for v in row.values()):
+            raise NotACocycleMap(f"composite with the {what} differential is nonzero")
 
 
 def set_higher_differential(
@@ -283,7 +283,7 @@ def set_higher_differential(
         )
     diffs = dict(page.differentials)
     key = (p, parity)
-    if is_zero_mat(mat):
+    if mat.is_zero:
         diffs.pop(key, None)
     else:
         src_orders = generator_orders(src)

@@ -5,12 +5,13 @@ homology is recomputed from Smith normal form data alone, six-term
 kernel/cokernel groups come straight from one matrix, and coefficient
 cohomology has a Tor/tensor formula oracle and a block-diagonal free
 expansion whose plain cohomology needs no universal coefficient theorem.
+Matrix arithmetic in the oracles runs on plain lists of rows
+(``tolist()``), never on the matrix type it is used to check.
 """
 
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -22,8 +23,6 @@ from nccw.exacthom import (
     CochainComplex,
     FGAbelianGroup,
     cokernel_group,
-    freeze,
-    hstack_mats,
     intmat,
     kernel_basis,
     matrix_rank,
@@ -113,17 +112,16 @@ def random_cochain_complex(rng: random.Random, max_k=3, max_rank=4, max_entry=3,
         else:
             kb = kernel_basis(prev.T)
             s = kb.shape[1]
+            kb_rows = kb.tolist()
             built = []
             for _ in range(rows):
                 vec = [0] * cols
                 if s:
                     for _attempt in range(20):
-                        coeffs = np.array(
-                            [[rng.randint(-2, 2)] for _ in range(s)], dtype=object
-                        )
-                        cand = (kb @ coeffs).reshape(cols)
-                        if all(abs(int(x)) <= max_entry for x in cand):
-                            vec = [int(x) for x in cand]
+                        coeffs = [[rng.randint(-2, 2)] for _ in range(s)]
+                        cand = [row[0] for row in dense_product(kb_rows, coeffs, 1)]
+                        if all(abs(x) <= max_entry for x in cand):
+                            vec = cand
                             break
                 built.append(vec)
             mat = intmat(built, shape=(rows, cols))
@@ -143,7 +141,10 @@ def small_complexes(draw, rings=("Z", "Q")):
     unit = random_cochain_complex(rng, max_k=3, max_rank=3, max_entry=1, ring=ring)
     scale = draw(st.sampled_from([2, 3, -2, -3]))
     scaled = CochainComplex(
-        ring, unit.ranks, [freeze(scale * d) for d in unit.differentials]
+        ring,
+        unit.ranks,
+        [intmat([[scale * x for x in row] for row in d.tolist()], shape=d.shape)
+         for d in unit.differentials],
     )
     return direct_sum_complexes(base, scaled)
 
@@ -190,7 +191,33 @@ def random_valid_morphism(rng: random.Random, max_blocks=3, max_mult=3):
 # independent oracles
 
 
-def six_term_oracle(delta0: np.ndarray):
+def dense_product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
+    """Product of two matrices given as lists of rows, by the triple loop;
+    ``ncols`` is the column count of ``b``, which an empty ``b`` cannot
+    carry."""
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(ncols)]
+        for i in range(len(a))
+    ]
+
+
+def dense_product_is_zero(a, b) -> bool:
+    """Whether ``a @ b`` vanishes, by :func:`dense_product` on plain lists."""
+    product = dense_product(a.tolist(), b.tolist(), b.shape[1])
+    return all(x == 0 for row in product for x in row)
+
+
+def block_rows(blocks: list[tuple[list[list[int]], int, int]], nrows: int, ncols: int):
+    """Lists of rows of an ``nrows`` x ``ncols`` zero matrix with each
+    ``(rows, i, j)`` block copied in with its top left corner at (i, j)."""
+    out = [[0] * ncols for _ in range(nrows)]
+    for rows, i, j in blocks:
+        for di, row in enumerate(rows):
+            out[i + di][j : j + len(row)] = row
+    return out
+
+
+def six_term_oracle(delta0):
     """(kernel, cokernel) of one coboundary, straight from SNF data."""
     ker = FGAbelianGroup.free(delta0.shape[1] - matrix_rank(delta0))
     coker = cokernel_group(delta0)
@@ -265,30 +292,26 @@ def direct_sum_complexes(a: CochainComplex, b: CochainComplex) -> CochainComplex
     diffs = []
     for p in range(k):
         da, db = a.differential(p), b.differential(p)
-        out = np.zeros((ranks[p + 1], ranks[p]), dtype=object)
-        if da.size:
-            out[: da.shape[0], : da.shape[1]] = da
-        if db.size:
-            out[da.shape[0] :, da.shape[1] :] = db
-        diffs.append(exacthom.freeze(out))
+        shape = (ranks[p + 1], ranks[p])
+        rows = block_rows([(da.tolist(), 0, 0), (db.tolist(), *da.shape)], *shape)
+        diffs.append(intmat(rows, shape=shape))
     return CochainComplex(a.ring, ranks, diffs, a.orientation)
 
 
-def block_diag(blocks: list[tuple[np.ndarray, tuple[int, int]]]) -> np.ndarray:
+def block_diag(blocks):
     """Block-diagonal matrix; each block comes with its (rows, cols) shape so
     zero-size blocks still occupy their slot."""
     nrows = sum(s[0] for _, s in blocks)
     ncols = sum(s[1] for _, s in blocks)
-    out = np.zeros((nrows, ncols), dtype=object)
+    placed = []
     i = j = 0
     for mat, (r, c) in blocks:
         if mat.shape != (r, c):
             raise ShapeMismatch("block shape disagrees with declared shape")
-        if r and c:
-            out[i : i + r, j : j + c] = mat
+        placed.append((mat.tolist(), i, j))
         i += r
         j += c
-    return freeze(out)
+    return intmat(block_rows(placed, nrows, ncols), shape=(nrows, ncols))
 
 
 def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainComplex:
@@ -311,22 +334,20 @@ def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainCo
             return c.rank(p)
         return c.rank(p + 1) + c.rank(p)
 
-    def cyc_diff(p: int, d: int | None) -> np.ndarray:
+    def cyc_diff(p: int, d: int | None):
         if d is None:
             return c.differential(p)
-        top = hstack_mats(
-            [freeze(np.negative(c.differential(p + 1))), zeros(c.rank(p + 2), c.rank(p))],
-            c.rank(p + 2),
+        # rows: (p+2)-generators, then (p+1)-generators;
+        # columns: (p+1)-generators, then p-generators
+        top, mid = c.rank(p + 2), c.rank(p + 1)
+        minus_next = [[-x for x in row] for row in c.differential(p + 1).tolist()]
+        d_ident = [[d if i == j else 0 for j in range(mid)] for i in range(mid)]
+        shape = (top + mid, mid + c.rank(p))
+        rows = block_rows(
+            [(minus_next, 0, 0), (d_ident, top, 0), (c.differential(p).tolist(), top, mid)],
+            *shape,
         )
-        dident = np.zeros((c.rank(p + 1), c.rank(p + 1)), dtype=object)
-        for i in range(c.rank(p + 1)):
-            dident[i, i] = d
-        bottom = hstack_mats([freeze(dident), c.differential(p)], c.rank(p + 1))
-        if top.shape[0] == 0:
-            return bottom
-        if bottom.shape[0] == 0:
-            return top
-        return freeze(np.concatenate([top, bottom], axis=0))
+        return intmat(rows, shape=shape)
 
     summands: list[int | None] = [None] * group.free_rank + list(group.torsion)
     ranks = []

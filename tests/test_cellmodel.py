@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from nccw.errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from nccw.exacthom import FGAbelianGroup, intmat, is_zero_mat, mat_eq, zeros
+from nccw.exacthom import FGAbelianGroup, intmat, zeros
 from nccw.findim import FinDimAlgebra, MultMorphism
 
 from conftest import (
@@ -102,7 +103,7 @@ class TestBoundaryFromEndpoints:
             att = x.stages[1].attaching
             fwd = boundary_from_endpoints(att.phi0, att.phi1)
             bwd = boundary_from_endpoints(att.phi1, att.phi0)
-            assert mat_eq(fwd, -bwd)
+            assert fwd == -bwd
 
 
 class TestCochainComplex:
@@ -118,7 +119,7 @@ class TestCochainComplex:
     def test_sphere_zero_middle(self):
         c = cochain_complex(sphere_cw(), "K")
         assert c.ranks == (1, 0, 1)
-        assert all(is_zero_mat(d) for d in c.differentials)
+        assert all(d.is_zero for d in c.differentials)
 
     def test_hp_ring(self):
         assert cochain_complex(circle_model(), "HP").ring == "Q"
@@ -136,7 +137,7 @@ class TestFromClassicalCW:
     def test_sphere(self):
         x = sphere_cw()
         assert x.cell_counts == (1, 0, 1)
-        assert all(is_zero_mat(d) for d in x.coboundaries)
+        assert all(d.is_zero for d in x.coboundaries)
 
     def test_torus_against_homology_oracle(self):
         boundaries = [intmat([[0, 0]]), intmat([[0], [0]])]
@@ -153,8 +154,8 @@ class TestFromClassicalCW:
             b2 = zeros(counts[1], counts[2])
             x = from_classical_cw(counts, [b1, b2])
             c = cochain_complex(x, "K")
-            assert mat_eq(c.differentials[0], b1.T)
-            assert mat_eq(c.differentials[1], b2.T)
+            assert c.differentials[0] == b1.T
+            assert c.differentials[1] == b2.T
 
     def test_dd_violation_detected(self):
         with pytest.raises(ComplexViolation):
@@ -235,3 +236,46 @@ def test_endpoint_morphisms_must_start_at_stage_zero():
     ep = EndpointPair(MultMorphism(other, f1, [[1, 1]]), MultMorphism(other, f1, [[1, 1]]))
     with pytest.raises(ShapeMismatch):
         build([NCCWStage(0, a0), NCCWStage(1, f1, ep)])
+
+
+class TestDdCheckedOnce:
+    """d after d = 0 is checked where a complex is first built; the ring
+    change, the first page and the transpose reuse it, and only the
+    reduced complex is checked a second time."""
+
+    S5 = os.path.join(os.path.dirname(__file__), "golden", "s5_signed.json")
+
+    @pytest.mark.parametrize("theory", ["k", "hp"])
+    def test_compute_checks_each_pair_once(self, monkeypatch, capsys, theory):
+        import nccw.exacthom
+        from nccw.cli import load_complex, main
+
+        _, model = load_complex(self.S5)
+        reduced = nccw.exacthom.reduce_complex(model.cochain)
+        calls = []
+        original = nccw.exacthom.product_is_zero
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return original(a, b)
+
+        monkeypatch.setattr(nccw.exacthom, "product_is_zero", counting)
+        assert main(["compute", self.S5, "--theory", theory, "--pages"]) == 0
+        capsys.readouterr()
+
+        def pairs(ranks):
+            return [((ranks[p + 2], ranks[p + 1]), (ranks[p + 1], ranks[p]))
+                    for p in range(len(ranks) - 2)]
+
+        assert model.cell_counts == (7, 21, 35, 35, 21, 7)
+        assert calls == pairs(model.cell_counts) + pairs(reduced.ranks)
+
+    def test_ring_change_and_transpose_check_nothing(self, monkeypatch):
+        import nccw.exacthom
+        from nccw.exacthom import dual_transpose
+
+        model = projective_plane_cw()
+        monkeypatch.setattr(nccw.exacthom, "product_is_zero", None)
+        hp = cochain_complex(model, "HP")
+        assert hp.ring == "Q" and hp.differentials == model.coboundaries
+        assert dual_transpose(dual_transpose(hp)) == hp

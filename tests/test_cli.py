@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from nccw.cli import (
     parse_group,
     parse_result,
 )
-from nccw.exacthom import FGAbelianGroup, mat_eq
+from nccw.exacthom import FGAbelianGroup
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -77,6 +78,17 @@ class TestExitCodes:
         bad.write_text("[" * 5000 + "]" * 5000)
         code, out, err = run(capsys, "compute", str(bad))
         assert code in (1, 2)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer literals in this interpreter")
+    def test_oversized_integer_literal_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "huge.json"
+        literal = "9" * 5000
+        bad.write_text(f'{{"classical_cw": {{"counts": [1, 1], "boundaries": [[[{literal}]]]}}}}')
+        code, out, err = run(capsys, "compute", str(bad))
+        assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -357,6 +369,48 @@ class TestMaxDim:
         code, _, _ = run(capsys, "compute", fix("rp2.json"))
         assert code == 0
 
+    @pytest.mark.parametrize("form", ["classical_cw", "stages"])
+    def test_cap_checked_before_building(self, capsys, monkeypatch, tmp_path, form):
+        import nccw.cellmodel
+
+        def refuse(*_args):
+            raise AssertionError("a tower above the cap was built")
+
+        monkeypatch.setattr(nccw.cellmodel, "build", refuse)
+        monkeypatch.setattr(nccw.cellmodel, "from_classical_cw", refuse)
+        monkeypatch.delenv("NCCW_MAX_DIM", raising=False)
+        if form == "classical_cw":
+            obj = {"classical_cw": {"counts": [1] * 41, "boundaries": [[[0]]] * 40}}
+        else:
+            obj = {"stages": [{"dim": 0, "algebra": [1]}]
+                   + [{"dim": k, "F": [1], "delta": [[0]]} for k in range(1, 41)]}
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: tower height 40 exceeds NCCW_MAX_DIM=8\n"
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        import nccw.cli
+
+        calls = []
+        original = nccw.cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(nccw.cli, "build_parser", counting)
+        nccw.cli._parser.cache_clear()
+        try:
+            for argv in (["validate", fix("rp2.json")], ["compute", fix("circle.json")]):
+                assert main(argv) == 0
+        finally:
+            nccw.cli._parser.cache_clear()
+        assert calls == [1]
+
 
 class TestComplexSerialization:
     @pytest.mark.parametrize("name", ["rp2.json", "i2.json", "torus.json", "circle.json"])
@@ -369,9 +423,7 @@ class TestComplexSerialization:
         reparsed_name, reparsed = parse_complex(payload, "y")
         assert reparsed_name == original_name
         assert reparsed.cell_counts == original.cell_counts
-        assert all(
-            mat_eq(a, b) for a, b in zip(reparsed.coboundaries, original.coboundaries)
-        )
+        assert reparsed.coboundaries == original.coboundaries
 
 
 class TestGroupGrammar:

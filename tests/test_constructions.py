@@ -23,6 +23,7 @@ from nccw.ssengine import compute_theories
 
 from conftest import (
     circle_model,
+    dense_product_is_zero,
     direct_sum_complexes,
     parity_sums,
     projective_plane_cw,
@@ -107,10 +108,8 @@ class TestMappingCylinder:
             dst = direct_sum_complexes(src, other)
             maps = []
             for p in range(max(src.top_degree, dst.top_degree) + 1):
-                m = zeros(dst.rank(p), src.rank(p)).copy()
-                for i in range(src.rank(p)):
-                    m[i, i] = 1
-                maps.append(m)
+                m = [[int(i == j) for j in range(src.rank(p))] for i in range(dst.rank(p))]
+                maps.append(intmat(m, shape=(dst.rank(p), src.rank(p))))
             f = CellularMorphism(src, dst, maps)
             model, embedded = mapping_cylinder(f)
             assert groups_of(model) == groups_of(dst)
@@ -155,10 +154,8 @@ class TestMappingCone:
         circ = cochain_complex(circle_model(), "K")
         f = CellularMorphism(circ, circ, [intmat([[3]]), intmat([[3]])])
         cone_c = mapping_cone_complex(f)
-        from nccw.exacthom import is_zero_mat
-
         for p in range(cone_c.top_degree):
-            assert is_zero_mat(cone_c.differential(p + 1) @ cone_c.differential(p))
+            assert dense_product_is_zero(cone_c.differential(p + 1), cone_c.differential(p))
 
     def test_scaling_map_on_circle(self):
         # multiplication by n on the circle: relative groups Z/n at both

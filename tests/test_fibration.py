@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -197,6 +198,24 @@ class TestComputeTotal:
 
 
 class TestSecondPageBuiltOnce:
+    def test_base_reduced_once_for_both_parities(self, monkeypatch, capsys):
+        import nccw.exacthom
+        from nccw.cli import main
+
+        calls = []
+        original = nccw.exacthom.reduce_complex
+
+        def counting(c):
+            calls.append(c.ranks)
+            return original(c)
+
+        monkeypatch.setattr(nccw.exacthom, "reduce_complex", counting)
+        base = os.path.join(os.path.dirname(__file__), "golden", "s5_signed.json")
+        argv = ["fibration", "--base", base, "--coeff-even", "Z/2", "--coeff-odd", "Z/3"]
+        assert main(argv) == 0
+        assert "odd: Z/6" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_hp_column_is_base_cohomology_times_rank(self):
         rng = random.Random(23)
         for _ in range(10):

@@ -1,0 +1,125 @@
+"""The sparse exact matrix type, checked against plain lists of rows.
+
+Every expectation is computed on the dense rows the matrices were built
+from (``dense_product`` is the triple loop), never by the matrix type
+itself.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nccw.errors import ShapeMismatch
+from nccw.exacthom import IntMatrix, identity, intmat, stack, zeros
+
+from conftest import dense_product
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def rows_of(data, nrows, ncols):
+    entries = st.integers(-3, 3)
+    return data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_operations_agree_with_dense_lists(data):
+    m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a_rows, b_rows = rows_of(data, m, k), rows_of(data, k, n)
+    c_rows = data.draw(st.one_of(st.just([list(r) for r in a_rows]), st.just(rows_of(data, m, k))))
+    a, b, c = intmat(a_rows, (m, k)), intmat(b_rows, (k, n)), intmat(c_rows, (m, k))
+
+    product = a @ b
+    assert product.shape == (m, n)
+    assert product.tolist() == dense_product(a_rows, b_rows, n)
+    assert a.T.shape == (k, m)
+    assert a.T.tolist() == [[a_rows[i][j] for i in range(m)] for j in range(k)]
+    assert (a == c) == (a_rows == c_rows)
+    assert (a != c) == (a_rows != c_rows)
+    assert a.is_zero == all(x == 0 for row in a_rows for x in row)
+    assert (-a).tolist() == [[-x for x in row] for row in a_rows]
+    assert (a - c).tolist() == [[x - y for x, y in zip(r, s)] for r, s in zip(a_rows, c_rows)]
+    assert sorted(a.flat) == sorted(x for row in a_rows for x in row if x)
+    assert all(a[i, j] == a_rows[i][j] for i in range(m) for j in range(k))
+    assert a.tolist() == a_rows
+
+
+def test_shapes_without_entries_stay_apart():
+    assert zeros(0, 2) != zeros(0, 3)
+    assert zeros(3, 0).T == zeros(0, 3)
+    assert (zeros(2, 0) @ zeros(0, 3)) == zeros(2, 3)
+    assert intmat([], shape=(0, 4)).shape == (0, 4)
+    assert intmat([[], []], shape=(2, 0)).shape == (2, 0)
+
+
+def test_intmat_validates_entries_and_shapes():
+    for bad in ([[1, True]], [[1.0]], [["1"]]):
+        with pytest.raises(ShapeMismatch, match="not an integer"):
+            intmat(bad)
+    with pytest.raises(ShapeMismatch, match="row 1"):
+        intmat([[1, 2], [3]])
+    with pytest.raises(ShapeMismatch, match="expected shape"):
+        intmat([[1, 2]], shape=(1, 3))
+    with pytest.raises(ShapeMismatch, match="expected shape"):
+        intmat(identity(2), shape=(2, 3))
+    m = intmat([[0, 5], [0, 0]])
+    assert intmat(m, shape=(2, 2)) is m
+    assert m.rows == ({1: 5}, {})
+
+
+def test_operations_refuse_mismatched_shapes():
+    with pytest.raises(ShapeMismatch):
+        identity(2) @ identity(3)
+    with pytest.raises(ShapeMismatch):
+        identity(2) - identity(3)
+    with pytest.raises(IndexError):
+        identity(2)[2, 0]
+
+
+def test_matrices_cannot_be_assigned_into():
+    m = identity(2)
+    with pytest.raises(TypeError):
+        m[0, 0] = 5
+    assert m == identity(2)
+
+
+def test_stack_places_blocks():
+    a = intmat([[1, 2]])
+    b = intmat([[3]])
+    c = intmat([[4, 5], [6, 7]])
+    d = intmat([[8], [9]])
+    assert stack([[a, b], [c, d]]).tolist() == [[1, 2, 3], [4, 5, 8], [6, 7, 9]]
+    assert stack([[zeros(0, 2), zeros(0, 1)], [c, d]]).shape == (2, 3)
+    assert stack([[zeros(2, 0), c]]) == c
+    with pytest.raises(ShapeMismatch):
+        stack([[a, c]])
+    with pytest.raises(ShapeMismatch):
+        stack([[a], [d]])
+
+
+def test_constructor_trusts_its_rows():
+    # the type is the plain container intmat validates into
+    m = IntMatrix((1, 3), [{2: 4}])
+    assert m.tolist() == [[0, 0, 4]] and m == intmat([[0, 0, 4]])
+
+
+def test_cli_runs_without_numpy():
+    script = (
+        "import io, sys, contextlib, nccw.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = nccw.cli.main(['compute', {str(FIXTURES / 'rp2.json')!r}, '--pages'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
