@@ -30,7 +30,6 @@ from .exacthom import (
     all_cohomology,
     cohomology_at,
     cohomology_with_coefficients,
-    dual_transpose,
     intmat,
     reduce_complex,
     smith_normal_form,

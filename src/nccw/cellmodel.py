@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from .exacthom import RING_Q, RING_Z, CochainComplex, IntMatrix, intmat
+from .exacthom import RING_Q, RING_Z, CochainComplex, IntMatrix, euler, intmat
 from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism, k0_map
 
 
@@ -163,8 +163,9 @@ def from_classical_cw(cell_counts, chain_boundaries) -> NCCWComplex:
     ``chain_boundaries[p]`` is the boundary matrix from (p+1)-cells to
     p-cells, shape (counts[p], counts[p+1]).  The tower stores the
     transposed matrices, i.e. the cellular cochain complex; ``build``
-    checks that they compose to zero, and the degree of a
-    ``ComplexViolation`` is the same in either orientation.
+    checks that they compose to zero.  A ``ComplexViolation`` at degree
+    ``p`` means the boundaries out of dimensions ``p + 1`` and ``p + 2``
+    do not compose to zero.
     """
     counts = [int(c) for c in cell_counts]
     if not counts or any(c < 0 for c in counts):
@@ -201,4 +202,4 @@ def skeleton(x: NCCWComplex, p: int) -> NCCWComplex:
 
 
 def euler_characteristic(x: NCCWComplex) -> int:
-    return sum((-1) ** p * c for p, c in enumerate(x.cell_counts))
+    return euler(x.cell_counts)

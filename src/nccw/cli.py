@@ -53,7 +53,7 @@ import os
 import sys
 
 from . import cellmodel, constructions, fibration, ssengine
-from .errors import NCCWError, OutOfRange
+from .errors import NCCWError, OutOfRange, ShapeMismatch
 from .exacthom import FGAbelianGroup, IntMatrix, intmat
 from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism
 from .ssengine import ASSEMBLY_UP_TO_EXTENSION, PARITY_EVEN, Assembly, Page
@@ -119,10 +119,10 @@ def _parse_matrix(obj, shape: tuple[int, int], where: str) -> IntMatrix:
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise FileFormatError(f"{where}: row {i} must be a list of {cols} integers")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise FileFormatError(f"{where}: row {i} holds a non-integer entry {x!r}")
-    return intmat(obj, shape=shape)
+    try:
+        return intmat(obj, shape=shape)
+    except ShapeMismatch as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
 
 
 def _dim_cap() -> int:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidMorphism, ShapeMismatch
 from .exacthom import (
-    ORIENT_COHOMOLOGICAL,
     CochainComplex,
     IntMatrix,
     identity,
@@ -47,8 +46,6 @@ class CellularMorphism:
     maps: tuple[IntMatrix, ...] = field(repr=False)
 
     def __init__(self, src: CochainComplex, dst: CochainComplex, maps):
-        if src.orientation != ORIENT_COHOMOLOGICAL or dst.orientation != ORIENT_COHOMOLOGICAL:
-            raise InvalidMorphism("cellular morphisms need cohomological complexes")
         if src.ring != dst.ring:
             raise InvalidMorphism("cellular morphisms need a common coefficient ring")
         top = max(src.top_degree, dst.top_degree)
@@ -95,7 +92,7 @@ def suspend(c: CochainComplex) -> CochainComplex:
     """
     ranks = (0,) + c.ranks
     diffs = (zeros(c.rank(0), 0),) + c.differentials
-    return CochainComplex(c.ring, ranks, diffs, c.orientation)
+    return CochainComplex(c.ring, ranks, diffs)
 
 
 def mapping_cylinder(f: CellularMorphism) -> tuple[CochainComplex, CellularMorphism]:
@@ -103,11 +100,9 @@ def mapping_cylinder(f: CellularMorphism) -> tuple[CochainComplex, CellularMorph
 
     The model is the codomain complex (the cylinder deformation retracts
     onto it); the second component records how the domain sits inside,
-    which is what fibration replacement consumes.
+    which is what fibration replacement consumes: that is ``f`` itself.
     """
-    model = f.dst
-    embedded = CellularMorphism(f.src, model, f.maps)
-    return model, embedded
+    return f.dst, f
 
 
 def mapping_cone_complex(f: CellularMorphism) -> CochainComplex:
@@ -133,7 +128,7 @@ def mapping_cone_complex(f: CellularMorphism) -> CochainComplex:
 
     ranks = [0] + [cone_rank(p) for p in range(lo, hi + 1)]
     diffs = [zeros(cone_rank(lo), 0)] + [cone_diff(p) for p in range(lo, hi)]
-    return CochainComplex(f.src.ring, ranks, diffs, ORIENT_COHOMOLOGICAL)
+    return CochainComplex(f.src.ring, ranks, diffs)
 
 
 def relative_assemblies(f: CellularMorphism, theory: str) -> tuple[Assembly, Assembly]:

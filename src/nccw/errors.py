@@ -39,7 +39,7 @@ class EndpointPairAtHigherStage(NCCWError):
 
 
 class OutOfRange(NCCWError):
-    """A degree or page index falls outside the valid range."""
+    """A degree, a page index or a number falls outside the valid range."""
 
 
 class NotACocycleMap(NCCWError):

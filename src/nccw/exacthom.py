@@ -18,10 +18,10 @@ Conventions
   every ``d_i >= 2``.  Equality of groups is structural equality of the
   canonical form.
 * A ``CochainComplex`` stores ranks ``c_0 .. c_k`` and one matrix per
-  adjacent pair of degrees.  With the ``cohomological`` orientation the
-  matrix at index ``p`` maps degree ``p`` to degree ``p + 1`` and has shape
-  ``(c_{p+1}, c_p)``; with the ``homological`` orientation it maps degree
-  ``p + 1`` to degree ``p`` and has shape ``(c_p, c_{p+1})``.
+  adjacent pair of degrees.  Every complex raises degree: the matrix at
+  index ``p`` maps degree ``p`` to degree ``p + 1`` and has shape
+  ``(c_{p+1}, c_p)``.  A chain complex enters by transposing its boundary
+  matrices once, as :func:`nccw.cellmodel.from_classical_cw` does.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .errors import ComplexViolation, OutOfRange, ShapeMismatch
 
 RING_Z = "Z"
 RING_Q = "Q"
-
-ORIENT_COHOMOLOGICAL = "cohomological"
-ORIENT_HOMOLOGICAL = "homological"
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +466,13 @@ class FGAbelianGroup:
             terms.append(symbol)
         elif self.free_rank > 1:
             terms.append(f"{symbol}^{self.free_rank}")
-        terms.extend(f"Z/{d}" for d in self.torsion)
+        try:
+            terms.extend(f"Z/{d}" for d in self.torsion)
+        except ValueError:
+            # the interpreter's limit on int-to-str conversion
+            raise OutOfRange(
+                f"invariant factor of {self.torsion[-1].bit_length()} bits is too long to print"
+            ) from None
         return " (+) ".join(terms) if terms else "0"
 
     def __str__(self) -> str:
@@ -546,13 +549,6 @@ def presented_subquotient(
     return cokernel_group(IntMatrix((r, jmat.shape[1]), x))
 
 
-def rational_subquotient(dim: int, out_map, in_map) -> int:
-    """dim ker - dim im for a vector-space subquotient, via integer ranks."""
-    r_out = matrix_rank(out_map) if out_map is not None else 0
-    r_in = matrix_rank(in_map) if in_map is not None else 0
-    return dim - r_out - r_in
-
-
 # ---------------------------------------------------------------------------
 # cochain complexes
 
@@ -564,11 +560,9 @@ class CochainComplex:
     composites are checked to vanish on construction.
     """
 
-    def __init__(self, ring: str, ranks, differentials, orientation: str = ORIENT_COHOMOLOGICAL):
+    def __init__(self, ring: str, ranks, differentials):
         if ring not in (RING_Z, RING_Q):
             raise ValueError(f"unknown ring {ring!r}")
-        if orientation not in (ORIENT_COHOMOLOGICAL, ORIENT_HOMOLOGICAL):
-            raise ValueError(f"unknown orientation {orientation!r}")
         ranks = tuple(int(c) for c in ranks)
         if not ranks or any(c < 0 for c in ranks):
             raise ValueError("ranks must be a nonempty list of nonnegative integers")
@@ -577,19 +571,14 @@ class CochainComplex:
             raise ShapeMismatch("need exactly one differential per adjacent degree pair")
         for p, d in enumerate(diffs):
             expect = (ranks[p + 1], ranks[p])
-            if orientation == ORIENT_HOMOLOGICAL:
-                expect = expect[::-1]
             if d.shape != expect:
                 raise ShapeMismatch(f"differential {p} has shape {d.shape}, expected {expect}")
         for p, (first, second) in enumerate(zip(diffs, diffs[1:])):
-            if orientation == ORIENT_HOMOLOGICAL:
-                first, second = second, first
             if not product_is_zero(second, first):
                 raise ComplexViolation(p)
         self.ring = ring
         self.ranks = ranks
         self.differentials = tuple(diffs)
-        self.orientation = orientation
 
     @property
     def top_degree(self) -> int:
@@ -601,13 +590,11 @@ class CochainComplex:
         return 0
 
     def differential(self, p: int) -> IntMatrix:
-        """The stored matrix at index ``p``, or an appropriately shaped zero
-        matrix outside the stored range."""
+        """The map from degree ``p`` to degree ``p + 1``; a zero matrix of
+        shape ``(c_{p+1}, c_p)`` outside the stored range."""
         if 0 <= p < len(self.differentials):
             return self.differentials[p]
-        if self.orientation == ORIENT_COHOMOLOGICAL:
-            return zeros(self.rank(p + 1), self.rank(p))
-        return zeros(self.rank(p), self.rank(p + 1))
+        return zeros(self.rank(p + 1), self.rank(p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CochainComplex):
@@ -615,34 +602,20 @@ class CochainComplex:
         return (
             self.ring == other.ring
             and self.ranks == other.ranks
-            and self.orientation == other.orientation
             and self.differentials == other.differentials
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"CochainComplex(ring={self.ring}, ranks={list(self.ranks)}, {self.orientation})"
+        return f"CochainComplex(ring={self.ring}, ranks={list(self.ranks)})"
 
     def with_ring(self, ring: str) -> "CochainComplex":
         """The same differentials over ``ring``; they were checked when this
         complex was built, so nothing is checked again."""
-        return self._derived(ring, self.differentials, self.orientation)
-
-    def _derived(self, ring: str, differentials, orientation: str) -> "CochainComplex":
-        # a complex made from this one's checked data (ring change, transpose)
         out = object.__new__(CochainComplex)
-        out.ring, out.ranks, out.orientation = ring, self.ranks, orientation
-        out.differentials = tuple(differentials)
+        out.ring, out.ranks, out.differentials = ring, self.ranks, self.differentials
         return out
-
-
-def dual_transpose(c: CochainComplex) -> CochainComplex:
-    """Transpose every differential and flip the orientation tag."""
-    flipped = (
-        ORIENT_HOMOLOGICAL if c.orientation == ORIENT_COHOMOLOGICAL else ORIENT_COHOMOLOGICAL
-    )
-    return c._derived(c.ring, [d.T for d in c.differentials], flipped)
 
 
 def _group_from_diagonals(ring: str, rank: int, out_diag, in_diag) -> FGAbelianGroup:
@@ -666,14 +639,12 @@ def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
     of each map at that degree."""
     if not 0 <= p <= c.top_degree:
         raise OutOfRange(f"degree {p} outside 0..{c.top_degree}")
-    # the maps out of and into degree p, in the complex's own orientation
-    out_map, in_map = c.differential(p), c.differential(p - 1)
-    if c.orientation == ORIENT_HOMOLOGICAL:
-        out_map, in_map = in_map, out_map
-    return _group_from_diagonals(c.ring, c.rank(p), snf_diagonal(out_map), snf_diagonal(in_map))
+    out_diag, in_diag = snf_diagonal(c.differential(p)), snf_diagonal(c.differential(p - 1))
+    return _group_from_diagonals(c.ring, c.rank(p), out_diag, in_diag)
 
 
-def _euler(ranks) -> int:
+def euler(ranks) -> int:
+    """Alternating sum ``c_0 - c_1 + c_2 - ...`` of ranks or cell counts."""
     return sum((-1) ** p * r for p, r in enumerate(ranks))
 
 
@@ -695,21 +666,14 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
     again on what remains.  A complex without unit entries comes back
     unchanged.
     """
-    ranks = list(c.ranks)
-    mats = list(c.differentials)
-    if c.orientation == ORIENT_HOMOLOGICAL:
-        # run along the direction of the differential: map s goes from
-        # position s to position s + 1, rows indexing the target
-        ranks.reverse()
-        mats.reverse()
-    # rows[s]: target generator -> {source generator: entry};
-    # cols[s]: source generator -> target generators with an entry
+    # rows[s]: generator of degree s + 1 -> {generator of degree s: entry};
+    # cols[s]: generator of degree s -> generators of degree s + 1 with an entry
     rows: list[dict[int, dict[int, int]]] = []
     cols: list[dict[int, set[int]]] = []
     has_unit = False
-    for s, mat in enumerate(mats):
+    for s, mat in enumerate(c.differentials):
         row_map: dict[int, dict[int, int]] = {}
-        col_map: dict[int, set[int]] = {j: set() for j in range(ranks[s])}
+        col_map: dict[int, set[int]] = {j: set() for j in range(c.ranks[s])}
         for i, row in enumerate(mat.rows):
             if row:
                 row_map[i] = dict(row)
@@ -720,7 +684,7 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
         cols.append(col_map)
     if not has_unit:
         return c
-    alive = [set(range(r)) for r in ranks]
+    alive = [set(range(r)) for r in c.ranks]
 
     def eliminate(s: int, i: int, j: int) -> None:
         row_map, col_map = rows[s], cols[s]
@@ -779,12 +743,9 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
             out[index[s + 1][i]] = {index[s][j]: x for j, x in row.items()}
         out_mats.append(IntMatrix((len(keep[s + 1]), len(keep[s])), out))
     out_ranks = [len(kept) for kept in keep]
-    if c.orientation == ORIENT_HOMOLOGICAL:
-        out_ranks.reverse()
-        out_mats.reverse()
-    if _euler(out_ranks) != _euler(c.ranks):
+    if euler(out_ranks) != euler(c.ranks):
         raise RuntimeError("reduction postcondition failed: Euler characteristic changed")
-    return CochainComplex(c.ring, out_ranks, out_mats, c.orientation)
+    return CochainComplex(c.ring, out_ranks, out_mats)
 
 
 def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
@@ -793,13 +754,12 @@ def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
     once by ``snf_diagonal``, and every degree is read off the diagonals of
     the maps on either side of it."""
     r = reduce_complex(c)
-    # diags[s + 1] belongs to the matrix at index s; the ends are zero maps
+    # diags[p + 1] belongs to the map out of degree p; the ends are zero maps
     diags = [[]] + [snf_diagonal(d) for d in r.differentials] + [[]]
-    if r.orientation == ORIENT_COHOMOLOGICAL:
-        sides = [(diags[p + 1], diags[p]) for p in range(r.top_degree + 1)]
-    else:
-        sides = [(diags[p], diags[p + 1]) for p in range(r.top_degree + 1)]
-    return [_group_from_diagonals(r.ring, r.rank(p), *sides[p]) for p in range(len(sides))]
+    return [
+        _group_from_diagonals(r.ring, r.rank(p), diags[p + 1], diags[p])
+        for p in range(r.top_degree + 1)
+    ]
 
 
 def cohomology_with_coefficients(
@@ -812,11 +772,9 @@ def cohomology_with_coefficients(
     reversed) gives H^p(C; G) = H^p(C) (x) G (+) Tor(H^{p+1}(C), G), so
     everything follows from ``all_cohomology(c)`` by gcd arithmetic:
     Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  A caller
-    that already holds ``all_cohomology(c)`` passes it as ``plain``.  The
-    complex must be cohomological; over Q the group must be torsion-free.
+    that already holds ``all_cohomology(c)`` passes it as ``plain``.  Over
+    Q the group must be torsion-free.
     """
-    if c.orientation != ORIENT_COHOMOLOGICAL:
-        raise ValueError("coefficient cohomology needs a cohomological complex")
     if c.ring == RING_Q and group.torsion:
         raise ValueError("rational coefficient cohomology needs a torsion-free group")
     plain = (all_cohomology(c) if plain is None else plain) + [FGAbelianGroup.trivial()]

@@ -1,9 +1,9 @@
 """Spectral-sequence engine: pages, differentials, E-infinity, assembly.
 
 Bigraded pages are stored sparsely and 2-periodically: an entry lives at
-``(p, q mod 2)``; whatever is absent is the zero group.  The internal
-orientation raises filtration degree, so the page-``r`` differential maps
-``(p, q)`` to ``(p + r, q - r + 1)``.  The homological indexing used in
+``(p, q mod 2)``; whatever is absent is the zero group.  The differential
+raises filtration degree: on page ``r`` it maps ``(p, q)`` to
+``(p + r, q - r + 1)``.  The homological indexing used in
 the literature is recovered by relabeling ``p`` to ``k - p``, which the
 command line does on request for display only.
 
@@ -24,7 +24,6 @@ from types import MappingProxyType
 
 from .errors import NotACocycleMap, OutOfRange, ShapeMismatch
 from .exacthom import (
-    ORIENT_COHOMOLOGICAL,
     RING_Q,
     RING_Z,
     CochainComplex,
@@ -33,7 +32,6 @@ from .exacthom import (
     all_cohomology,
     intmat,
     presented_subquotient,
-    rational_subquotient,
     zeros,
 )
 from .findim import THEORY_HP, THEORY_K
@@ -155,8 +153,6 @@ def from_cellular(complex_: CochainComplex, theory: str) -> SpectralSequence:
     """
     if theory not in (THEORY_K, THEORY_HP):
         raise ValueError(f"unknown theory {theory!r}")
-    if complex_.orientation != ORIENT_COHOMOLOGICAL:
-        raise ValueError("the engine consumes cohomologically oriented complexes")
     expected_ring = RING_Z if theory == THEORY_K else RING_Q
     if complex_.ring != expected_ring:
         raise ValueError(f"theory {theory} needs a complex over {expected_ring}")
@@ -179,21 +175,17 @@ def from_e2_page(page: Page) -> SpectralSequence:
 
 
 def _turned_entry(ss: SpectralSequence, page: Page, p: int, parity: int) -> FGAbelianGroup:
-    grp = page.entry_at(p, parity)
+    """ker/im at one entry of a page ``r >= 2``.  HP entries are free, so
+    their integer subquotient differs from the rational one by torsion
+    only, and its free rank is the dimension over Q."""
     r = page.r
-    out_mat = page.differential_out(p, parity)
-    target_parity = (parity - r + 1) % 2
-    in_parity = (parity + r - 1) % 2
-    in_mat = page.differential_out(p - r, in_parity)
-    if ss.theory == THEORY_HP:
-        rank = rational_subquotient(grp.free_rank, out_mat, in_mat)
-        return FGAbelianGroup.free(rank)
-    return presented_subquotient(
-        generator_orders(grp),
-        out_mat,
-        generator_orders(page.entry_at(p + r, target_parity)),
-        in_mat,
+    g = presented_subquotient(
+        generator_orders(page.entry_at(p, parity)),
+        page.differential_out(p, parity),
+        generator_orders(page.entry_at(p + r, (parity - r + 1) % 2)),
+        page.differential_out(p - r, (parity + r - 1) % 2),
     )
+    return FGAbelianGroup.free(g.free_rank) if ss.theory == THEORY_HP else g
 
 
 def _turned_first_page(page: Page) -> dict:

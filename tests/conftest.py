@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from nccw import cellmodel, exacthom
 from nccw.errors import ShapeMismatch
 from nccw.exacthom import (
-    ORIENT_COHOMOLOGICAL,
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
@@ -285,8 +284,8 @@ def parity_sums(c: CochainComplex):
 
 
 def direct_sum_complexes(a: CochainComplex, b: CochainComplex) -> CochainComplex:
-    if a.ring != b.ring or a.orientation != b.orientation:
-        raise ValueError("can only sum complexes over the same ring and orientation")
+    if a.ring != b.ring:
+        raise ValueError("can only sum complexes over the same ring")
     k = max(a.top_degree, b.top_degree)
     ranks = [a.rank(p) + b.rank(p) for p in range(k + 1)]
     diffs = []
@@ -295,7 +294,7 @@ def direct_sum_complexes(a: CochainComplex, b: CochainComplex) -> CochainComplex
         shape = (ranks[p + 1], ranks[p])
         rows = block_rows([(da.tolist(), 0, 0), (db.tolist(), *da.shape)], *shape)
         diffs.append(intmat(rows, shape=shape))
-    return CochainComplex(a.ring, ranks, diffs, a.orientation)
+    return CochainComplex(a.ring, ranks, diffs)
 
 
 def block_diag(blocks):
@@ -325,8 +324,6 @@ def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainCo
     p-generators, with differential  (x, y) |-> (-d_{p+1} x, d x + d_p y).
     The whole expansion is block diagonal across coefficient summands.
     """
-    if c.orientation != ORIENT_COHOMOLOGICAL:
-        raise ValueError("coefficient expansion needs a cohomological complex")
     k = c.top_degree
 
     def cyc_rank(p: int, d: int | None) -> int:
@@ -359,4 +356,4 @@ def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainCo
             (cyc_diff(p, d), (cyc_rank(p + 1, d), cyc_rank(p, d))) for d in summands
         ]
         diffs.append(block_diag(blocks))
-    return CochainComplex(RING_Z, ranks, diffs, ORIENT_COHOMOLOGICAL)
+    return CochainComplex(RING_Z, ranks, diffs)

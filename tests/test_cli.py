@@ -111,6 +111,29 @@ class TestExitCodes:
         assert "classical_cw.counts" in err and "-1" in err
         assert "boundary" not in err
 
+    @pytest.mark.parametrize("entry", [1.5, True, "1", None, [1]])
+    def test_non_integer_entry_is_one_error_line(self, capsys, tmp_path, entry):
+        bad = tmp_path / "entry.json"
+        bad.write_text(
+            json.dumps({"classical_cw": {"counts": [1, 1], "boundaries": [[[entry]]]}})
+        )
+        code, out, err = run(capsys, "compute", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: boundary 1: entry (0,0) is not an integer")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on printing integers in this interpreter")
+    def test_oversized_invariant_factor_is_one_error_line(self, capsys):
+        # Z/2^9960 (+) Z/3^6280 is Z/(2^9960 3^6280), about 6000 digits
+        coeff = f"Z/{2**9960}+Z/{3**6280}"
+        code, out, err = run(capsys, "fibration", "--base", fix("point.json"),
+                             "--coeff-even", coeff, "--coeff-odd", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invariant factor") and err.count("\n") == 1
+
 
 class TestCompute:
     def test_rp2_k(self, capsys):

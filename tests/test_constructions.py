@@ -113,8 +113,8 @@ class TestMappingCylinder:
             f = CellularMorphism(src, dst, maps)
             model, embedded = mapping_cylinder(f)
             assert groups_of(model) == groups_of(dst)
-            # the embedded record is itself a valid morphism into the model
-            assert embedded.dst == model
+            # the embedded record is f itself, not a re-checked copy
+            assert model is dst and embedded is f
 
     def test_invalid_morphism_propagates(self):
         src = CochainComplex("Z", [1, 1], [intmat([[1]])])

@@ -10,7 +10,6 @@ from nccw.exacthom import (
     cohomology_at,
     cohomology_with_coefficients,
     determinant,
-    dual_transpose,
     intmat,
     presented_subquotient,
     smith_normal_form,
@@ -309,28 +308,6 @@ class TestCoefficients:
                 [rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
             )
             assert cohomology_with_coefficients(c, g) == coefficient_cohomology_oracle(c, g)
-
-
-class TestDualTranspose:
-    def test_double_transpose_identity(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            c = random_cochain_complex(rng)
-            assert dual_transpose(dual_transpose(c)) == c
-
-    def test_zero_complex(self):
-        c = CochainComplex("Z", [2, 2], [zeros(2, 2)])
-        t = dual_transpose(c)
-        assert t.orientation == "homological"
-        assert t.differentials[0].tolist() == [[0, 0], [0, 0]]
-
-    def test_chain_matches_cochain(self, rp2):
-        from nccw.cellmodel import cochain_complex
-
-        chain = CochainComplex(
-            "Z", [1, 1, 1], [intmat([[0]]), intmat([[2]])], "homological"
-        )
-        assert dual_transpose(chain) == cochain_complex(rp2, "K")
 
 
 class TestPresentedSubquotient:

@@ -155,6 +155,15 @@ class TestSetHigherDifferential:
         assert even.group.is_trivial
         assert odd.group == FGAbelianGroup.cyclic(5)
 
+    @pytest.mark.parametrize("entry, survivor", [(5, FGAbelianGroup.trivial()), (0, Z)])
+    def test_hp_d3_turns_over_q(self, entry, survivor):
+        # over Q the map 5 is invertible, so no Z/5 is left behind
+        c = CochainComplex("Q", [1, 0, 0, 1], [zeros(0, 1), zeros(0, 0), zeros(1, 0)])
+        ss = turn_page(turn_page(from_cellular(c, "HP")))
+        ss = set_higher_differential(ss, 3, 0, 0, intmat([[entry]]))
+        assert assemble(ss, "even").group == survivor
+        assert assemble(ss, "odd").group == survivor
+
     def test_ill_defined_torsion_map_rejected(self):
         # page 3 holds Z/2 at p = 1; a map sending its generator to a free
         # generator cannot be well defined
