@@ -12,6 +12,7 @@ command-line front end.
 """
 
 from .errors import (
+    CertificateFailed,
     ComplexViolation,
     EndpointPairAtHigherStage,
     InvalidMorphism,

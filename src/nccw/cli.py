@@ -233,11 +233,11 @@ def parse_group(text: str) -> FGAbelianGroup:
     s = text.strip()
     if s == "0":
         return FGAbelianGroup.trivial()
-    orders: list[int] = []
+    free, orders = 0, []
     for token in s.replace("(+)", "+").split("+"):
         token = token.strip()
         if token in ("Z", "Q"):
-            orders.append(0)
+            free += 1
         elif token.startswith(("Z^", "Q^")):
             try:
                 r = int(token[2:])
@@ -245,7 +245,7 @@ def parse_group(text: str) -> FGAbelianGroup:
                 raise FileFormatError(f"bad group term {token!r}") from None
             if r < 1:
                 raise FileFormatError(f"bad free rank in {token!r}")
-            orders.extend([0] * r)
+            free += r
         elif token.startswith("Z/"):
             try:
                 d = int(token[2:])
@@ -256,7 +256,7 @@ def parse_group(text: str) -> FGAbelianGroup:
             orders.append(d)
         else:
             raise FileFormatError(f"bad group term {token!r}")
-    return FGAbelianGroup.from_cyclic_orders(orders)
+    return FGAbelianGroup.from_cyclic_orders(orders, free)
 
 
 # ---------------------------------------------------------------------------

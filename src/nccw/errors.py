@@ -56,3 +56,7 @@ class UnresolvedExtension(NCCWError):
 
 class NotSimple(NCCWError):
     """The local coefficient system was declared non-simple; refusing to compute."""
+
+
+class CertificateFailed(NCCWError):
+    """An exact computation failed the certificate that proves its result."""

@@ -2,7 +2,7 @@
 
 Everything here is computed with arbitrary-precision Python integers; no
 floating point is used anywhere.  The module provides one exact matrix
-type, Smith normal form with unimodular transforms, finitely generated
+type, Smith normal form, rank over the rationals, finitely generated
 abelian groups in invariant-factor normal form, integer cochain complexes,
 and their (co)homology with or without coefficients.
 
@@ -22,6 +22,17 @@ Conventions
   index ``p`` maps degree ``p`` to degree ``p + 1`` and has shape
   ``(c_{p+1}, c_p)``.  A chain complex enters by transposing its boundary
   matrices once, as :func:`nccw.cellmodel.from_classical_cw` does.
+* Every result is certified before it is used, and a failed certificate
+  raises :class:`nccw.errors.CertificateFailed`.  The Smith normal form
+  core logs elementary row and column operations instead of building
+  transforms; ``_check_snf`` replays the logs on the input's sparse rows
+  and must reach the diagonal exactly, so the transforms are unimodular by
+  construction and no determinant is taken.  Transforms are built from
+  the logs only where a caller needs them (``smith_normal_form``,
+  ``kernel_basis``).  ``matrix_rank`` works over Q by fraction-free
+  elimination and is certified by a nonzero pivot minor and an
+  annihilated kernel.  Over Q (HP) cohomology needs only ranks, so it
+  runs no Smith normal form.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ComplexViolation, OutOfRange, ShapeMismatch
+from .errors import CertificateFailed, ComplexViolation, OutOfRange, ShapeMismatch
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -215,6 +226,15 @@ def determinant(mat: IntMatrix) -> int:
 
 # ---------------------------------------------------------------------------
 # Smith normal form
+#
+# The core logs elementary operations instead of building transforms.  An
+# operation acts on the rows (or, in the column log, the columns) of a
+# matrix and is one of
+#   ("swap", i, j)     exchange lines i and j, i != j;
+#   ("add", i, j, k)   line i += k * line j, i != j and k != 0;
+#   ("neg", i)         line i = -line i.
+# Each is an elementary matrix of determinant +-1, so a log is a unimodular
+# transform by construction, and replaying it is the whole certificate.
 
 
 def _min_abs_pivot(a, m, n, t):
@@ -231,46 +251,38 @@ def _min_abs_pivot(a, m, n, t):
 
 
 def _smith_core(mat: IntMatrix):
-    """Diagonalize by unimodular row/column operations.
+    """Diagonalize by elementary row and column operations.
 
     Pivots are chosen with minimal absolute value to limit coefficient
-    growth.  Row operations accumulate in ``U``, column operations in
-    ``V``.
+    growth.  Returns ``(D, row_ops, col_ops)``: the diagonal matrix and the
+    logs of the row and column operations, in the order they were applied.
+    Nothing is certified here; :func:`_certified_smith` is the one caller.
     """
     m, n = mat.shape
     a = mat.tolist()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            row_ops.append(("swap", i, j))
 
     def row_add(i, j, k):
-        # row_i += k * row_j
-        ai, aj = a[i], a[j]
-        for c in range(n):
-            ai[c] += k * aj[c]
-        ui, uj = U[i], U[j]
-        for c in range(m):
-            ui[c] += k * uj[c]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        row_ops.append(("add", i, j, k))
 
     def swap_cols(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            col_ops.append(("swap", i, j))
 
     def col_add(j, i, k):
         # col_j += k * col_i
-        for r in range(m):
-            a[r][j] += k * a[r][i]
-        for r in range(n):
-            V[r][j] += k * V[r][i]
+        for row in a:
+            row[j] += k * row[i]
+        col_ops.append(("add", j, i, k))
 
     t = 0
     while t < min(m, n):
@@ -318,63 +330,198 @@ def _smith_core(mat: IntMatrix):
             row_add(t, stuck, 1)
             continue
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            row_ops.append(("neg", t))
         t += 1
 
-    Um, D, Vm = IntMatrix._dense(U, m), IntMatrix._dense(a, n), IntMatrix._dense(V, n)
-    _check_snf(mat, Um, D, Vm)
-    return Um, D, Vm
+    return IntMatrix._dense(a, n), row_ops, col_ops
 
 
-def _check_snf(M, U, D, V):
-    """Postconditions checked on every factorization: U M V = D, the
-    diagonal divisibility chain, and unimodularity of the transforms."""
-    if U @ M @ V != D:
-        raise RuntimeError("SNF postcondition failed: U M V != D")
-    m, n = D.shape
-    if any(j != i for i, row in enumerate(D.rows) for j in row):
-        raise RuntimeError("SNF postcondition failed: D not diagonal")
-    diag = [D[i, i] for i in range(min(m, n))]
-    for i in range(len(diag) - 1):
-        if diag[i] == 0 and diag[i + 1] != 0:
-            raise RuntimeError("SNF postcondition failed: zero before nonzero")
-        if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
-            raise RuntimeError("SNF postcondition failed: divisibility chain")
-    if abs(determinant(U)) != 1 or abs(determinant(V)) != 1:
-        raise RuntimeError("SNF postcondition failed: transform not unimodular")
+def _replay(rows, ops) -> list[dict[int, int]]:
+    """Apply a log of elementary operations to copies of sparse rows.
+
+    This is the certificate's own arithmetic on dict rows, written apart
+    from the core's dense lists; anything in the log that is not an
+    elementary operation on these rows raises ``CertificateFailed``.
+    Entries that cancel are dropped once, at the end.
+    """
+    out = [dict(row) for row in rows]
+    lines = range(len(out))
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == "add":
+                _, i, j, k = op
+                if type(k) is not int or not k or i == j or i not in lines or j not in lines:
+                    raise ValueError
+                target = out[i]
+                get = target.get
+                for c, x in out[j].items():
+                    target[c] = get(c, 0) + k * x
+            elif kind == "swap":
+                _, i, j = op
+                if i == j or i not in lines or j not in lines:
+                    raise ValueError
+                out[i], out[j] = out[j], out[i]
+            elif kind == "neg":
+                _, i = op
+                if i not in lines:
+                    raise ValueError
+                out[i] = {c: -x for c, x in out[i].items()}
+            else:
+                raise ValueError
+    except (TypeError, ValueError, IndexError):
+        raise CertificateFailed(f"SNF certificate failed: {op!r} is not elementary") from None
+    return [{c: x for c, x in row.items() if x} for row in out]
+
+
+def _transform(size: int, ops) -> list[dict[int, int]]:
+    """The rows of a log replayed on the identity: ``U`` for a row log, and
+    ``V`` transposed for a column log."""
+    return _replay(identity(size).rows, ops)
+
+
+def _check_snf(M: IntMatrix, D: IntMatrix, row_ops, col_ops) -> None:
+    """Certificate of one factorization: ``D`` is diagonal with nonnegative
+    entries ``d_1 | d_2 | ...`` and zeros trailing, and replaying the row
+    log on ``M``, then the column log on the transpose of the result, gives
+    exactly ``D`` (row and column operations commute).  Every logged
+    operation is elementary, so the transforms are unimodular and need no
+    determinant."""
+    if D.shape != M.shape or any(j != i for i, row in enumerate(D.rows) for j in row):
+        raise CertificateFailed("SNF certificate failed: D is not diagonal")
+    diag = [D[i, i] for i in range(min(D.shape))]
+    for d, nxt in zip(diag, diag[1:] + [0]):
+        if d < 0 or (d == 0 and nxt != 0) or (d != 0 and nxt % d != 0):
+            raise CertificateFailed("SNF certificate failed: divisibility chain")
+    m, n = M.shape
+    after_rows = IntMatrix((m, n), _replay(M.rows, row_ops))
+    if IntMatrix((n, m), _replay(after_rows.T.rows, col_ops)) != D.T:
+        raise CertificateFailed("SNF certificate failed: replayed operations do not give D")
+
+
+def _certified_smith(mat: IntMatrix):
+    """``_smith_core`` followed by its certificate."""
+    D, row_ops, col_ops = _smith_core(mat)
+    _check_snf(mat, D, row_ops, col_ops)
+    return D, row_ops, col_ops
+
+
+def _nonzero_diagonal(D: IntMatrix) -> list[int]:
+    return [row[i] for i, row in enumerate(D.rows) if row]
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return ``(U, D, V)`` with ``U @ mat @ V == D``.
 
     ``U`` and ``V`` are unimodular and ``D`` is diagonal with nonnegative
-    entries ``d_1 | d_2 | ...`` (zeros trailing).  Postconditions are
-    re-verified exactly on every call.
+    entries ``d_1 | d_2 | ...`` (zeros trailing).  The factorization is
+    certified, and ``U @ mat @ V == D`` is checked again on the transforms.
     """
-    return _smith_core(intmat(mat))
+    mat = intmat(mat)
+    D, row_ops, col_ops = _certified_smith(mat)
+    m, n = mat.shape
+    U = IntMatrix((m, m), _transform(m, row_ops))
+    V = IntMatrix((n, n), _transform(n, col_ops)).T
+    if U @ mat @ V != D:
+        raise CertificateFailed("SNF certificate failed: U M V != D")
+    return U, D, V
 
 
 def snf_diagonal(mat: IntMatrix) -> list[int]:
-    _, D, _ = smith_normal_form(mat)
-    return [row[i] for i, row in enumerate(D.rows) if row]
+    """The nonzero invariant factors, with no transform built."""
+    D, _, _ = _certified_smith(intmat(mat))
+    return _nonzero_diagonal(D)
+
+
+def _rank_core(mat: IntMatrix):
+    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination.
+
+    After the pivot ``p`` in column ``c`` every other row becomes
+    ``(p * row - row[c] * pivot_row) / prev`` with ``prev`` the previous
+    pivot; the division is exact because every entry stays a minor of the
+    input, and every pivot row ends with the last pivot ``delta`` in its own
+    pivot column and zeros in the others.  Returns the input rows and the
+    columns of the pivots, and the kernel read off the eliminated rows: for
+    each free column ``f``, ``delta`` at ``f`` and ``-row_i[f]`` at the
+    pivot column of row ``i``.
+    """
+    m, n = mat.shape
+    a = mat.tolist()
+    rows = list(range(m))
+    cols: list[int] = []
+    prev = 1
+    for c in range(n):
+        k = len(cols)
+        if k == m:
+            break
+        r = next((i for i in range(k, m) if a[i][c]), None)
+        if r is None:
+            continue
+        a[k], a[r] = a[r], a[k]
+        rows[k], rows[r] = rows[r], rows[k]
+        pivot_row, p = a[k], a[k][c]
+        for i in range(m):
+            if i != k:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        cols.append(c)
+    pivot = set(cols)
+    free = [f for f in range(n) if f not in pivot]
+    kernel: list[dict[int, int]] = [{} for _ in range(n)]
+    for t, f in enumerate(free):
+        kernel[f] = {t: prev}
+    for i, c in enumerate(cols):
+        kernel[c] = {t: -a[i][f] for t, f in enumerate(free) if a[i][f]}
+    return rows[: len(cols)], cols, IntMatrix((n, len(free)), kernel)
+
+
+def _check_rank(mat: IntMatrix, rows, cols, kernel: IntMatrix) -> None:
+    """Certificate of ``rank mat == len(cols)`` over Q.
+
+    rank >= r: the r x r minor on the pivot rows and columns has nonzero
+    determinant.  rank <= r: ``kernel`` is ``delta`` times the identity on
+    the n - r free columns, with ``delta != 0``, so its columns are
+    independent, and ``mat @ kernel == 0``.
+    """
+    m, n = mat.shape
+    r = len(cols)
+    if (len(rows) != r or len(set(rows)) != r or len(set(cols)) != r
+            or not all(0 <= i < m for i in rows) or not all(0 <= j < n for j in cols)):
+        raise CertificateFailed("rank certificate failed: pivots are not a minor")
+    minor = IntMatrix((r, r), [
+        {t: x for t, c in enumerate(cols) if (x := mat.rows[i].get(c, 0))} for i in rows
+    ])
+    if determinant(minor) == 0:
+        raise CertificateFailed("rank certificate failed: pivot minor is singular")
+    pivot = set(cols)
+    free = [f for f in range(n) if f not in pivot]
+    delta = kernel[free[0], 0] if free and kernel.shape == (n, n - r) else 1
+    if (kernel.shape != (n, n - r) or delta == 0
+            or any(kernel.rows[f] != {t: delta} for t, f in enumerate(free))):
+        raise CertificateFailed("rank certificate failed: kernel is not delta * I on free columns")
+    if not (mat @ kernel).is_zero:
+        raise CertificateFailed("rank certificate failed: kernel vector not annihilated")
 
 
 def matrix_rank(mat: IntMatrix) -> int:
-    """Rank over the rationals (equivalently the number of nonzero
-    invariant factors)."""
-    return len(snf_diagonal(mat))
+    """Rank over the rationals, by fraction-free elimination with no
+    transforms and no Smith normal form; certified on every call."""
+    mat = intmat(mat)
+    rows, cols, kernel = _rank_core(mat)
+    _check_rank(mat, rows, cols, kernel)
+    return len(cols)
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel ``{x : mat @ x = 0}``."""
-    _, D, V = smith_normal_form(mat)
-    r = sum(1 for row in D.rows if row)
-    return IntMatrix(
-        (V.shape[0], V.shape[1] - r),
-        [{j - r: x for j, x in row.items() if j >= r} for row in V.rows],
-    )
-
-
+    """Columns form a basis of the integer kernel ``{x : mat @ x = 0}``:
+    the last columns of ``V``, the only transform built."""
+    mat = intmat(mat)
+    D, _, col_ops = _certified_smith(mat)
+    r = len(_nonzero_diagonal(D))
+    n = mat.shape[1]
+    return IntMatrix((n - r, n), _transform(n, col_ops)[r:]).T
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +565,18 @@ class FGAbelianGroup:
         return cls(0, (order,))
 
     @classmethod
-    def from_cyclic_orders(cls, orders) -> "FGAbelianGroup":
+    def from_cyclic_orders(cls, orders, free: int = 0) -> "FGAbelianGroup":
         """Canonicalize an arbitrary direct sum of cyclic groups.
 
-        ``0`` denotes an infinite cyclic summand.  The torsion part is
+        ``0`` denotes an infinite cyclic summand, and ``free`` more of them
+        are counted rather than listed.  The torsion part is
         renormalized into a divisibility chain by the exchange
         ``Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)``: once position ``i``
         has been exchanged with every later position it divides all of
         them, and later exchanges only replace those by gcds and lcms of
         its multiples.
         """
-        free = sum(1 for d in orders if d == 0)
+        free += sum(1 for d in orders if d == 0)
         finite = [abs(int(d)) for d in orders if d != 0]
         for i in range(len(finite)):
             for j in range(i + 1, len(finite)):
@@ -457,7 +605,7 @@ class FGAbelianGroup:
         orders = list(self.torsion)
         for g in others:
             orders.extend(g.torsion)
-        return FGAbelianGroup.from_cyclic_orders([0] * free + orders)
+        return FGAbelianGroup.from_cyclic_orders(orders, free)
 
     def render(self, symbol: str = "Z") -> str:
         """Canonical string: ``0 | Z^r | Z/d | term (+) term ...``."""
@@ -534,11 +682,12 @@ def presented_subquotient(
         jcols.append(in_map)
     jmat = stack([jcols])
 
-    U, D, _ = _smith_core(kgen)
-    diag = [row[i] for i, row in enumerate(D.rows) if row]
+    # the row log of kgen's factorization applied to jmat is U @ jmat
+    D, row_ops, _ = _certified_smith(kgen)
+    diag = _nonzero_diagonal(D)
     r = len(diag)
     x = []
-    for i, row in enumerate((U @ jmat).rows):
+    for i, row in enumerate(_replay(jmat.rows, row_ops)):
         if i >= r:
             if row:
                 raise ShapeMismatch("image does not lie inside the kernel")
@@ -618,29 +767,36 @@ class CochainComplex:
         return out
 
 
-def _group_from_diagonals(ring: str, rank: int, out_diag, in_diag) -> FGAbelianGroup:
-    """ker/im at a degree of rank ``rank`` from the nonzero invariant
-    factors of its outgoing and incoming maps.
-
-    Over Z the free rank is ``rank - rank(out) - rank(in)`` and the
-    torsion is exactly the invariant factors (>= 2) of the incoming
-    matrix; every torsion class of the ambient cokernel already lies in
-    the kernel of the outgoing map because the composite vanishes.  Over
-    Q the torsion is dropped.
-    """
-    free = rank - len(out_diag) - len(in_diag)
+def _map_invariants(ring: str, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """``(rank, torsion)`` of one differential: over Q its certified rank
+    from ``matrix_rank`` and no torsion, over Z the number of its nonzero
+    invariant factors and those >= 2, from one ``snf_diagonal``."""
     if ring == RING_Q:
-        return FGAbelianGroup.free(free)
-    return FGAbelianGroup(free, tuple(d for d in in_diag if d >= 2))
+        return matrix_rank(mat), ()
+    diag = snf_diagonal(mat)
+    return len(diag), tuple(d for d in diag if d >= 2)
+
+
+def _group_between(rank: int, out_inv, in_inv) -> FGAbelianGroup:
+    """ker/im at a degree of rank ``rank`` from the invariants of its
+    outgoing and incoming maps.
+
+    The free rank is ``rank - rank(out) - rank(in)`` and the torsion is
+    exactly the torsion of the incoming map; every torsion class of the
+    ambient cokernel already lies in the kernel of the outgoing map
+    because the composite vanishes.
+    """
+    return FGAbelianGroup(rank - out_inv[0] - in_inv[0], in_inv[1])
 
 
 def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
-    """ker/im at degree ``p`` in canonical form, from one Smith normal form
-    of each map at that degree."""
+    """ker/im at degree ``p`` in canonical form, from the invariants of
+    each map at that degree."""
     if not 0 <= p <= c.top_degree:
         raise OutOfRange(f"degree {p} outside 0..{c.top_degree}")
-    out_diag, in_diag = snf_diagonal(c.differential(p)), snf_diagonal(c.differential(p - 1))
-    return _group_from_diagonals(c.ring, c.rank(p), out_diag, in_diag)
+    out_inv = _map_invariants(c.ring, c.differential(p))
+    in_inv = _map_invariants(c.ring, c.differential(p - 1))
+    return _group_between(c.rank(p), out_inv, in_inv)
 
 
 def euler(ranks) -> int:
@@ -744,22 +900,20 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
         out_mats.append(IntMatrix((len(keep[s + 1]), len(keep[s])), out))
     out_ranks = [len(kept) for kept in keep]
     if euler(out_ranks) != euler(c.ranks):
-        raise RuntimeError("reduction postcondition failed: Euler characteristic changed")
+        raise CertificateFailed("reduction postcondition failed: Euler characteristic changed")
     return CochainComplex(c.ring, out_ranks, out_mats)
 
 
 def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
     """Cohomology in every degree: the complex is reduced once by
-    ``reduce_complex``, each differential of the remainder is factored
-    once by ``snf_diagonal``, and every degree is read off the diagonals of
-    the maps on either side of it."""
+    ``reduce_complex``, each differential of the remainder is read once
+    (``matrix_rank`` over Q, ``snf_diagonal`` over Z), and every degree
+    comes from the maps on either side of it."""
     r = reduce_complex(c)
-    # diags[p + 1] belongs to the map out of degree p; the ends are zero maps
-    diags = [[]] + [snf_diagonal(d) for d in r.differentials] + [[]]
-    return [
-        _group_from_diagonals(r.ring, r.rank(p), diags[p + 1], diags[p])
-        for p in range(r.top_degree + 1)
-    ]
+    # inv[p + 1] belongs to the map out of degree p; the ends are zero maps
+    none = (0, ())
+    inv = [none] + [_map_invariants(r.ring, d) for d in r.differentials] + [none]
+    return [_group_between(r.rank(p), inv[p + 1], inv[p]) for p in range(r.top_degree + 1)]
 
 
 def cohomology_with_coefficients(
@@ -780,9 +934,9 @@ def cohomology_with_coefficients(
     plain = (all_cohomology(c) if plain is None else plain) + [FGAbelianGroup.trivial()]
     out = []
     for h, nxt in zip(plain, plain[1:]):
-        orders = [0] * (h.free_rank * group.free_rank) + list(h.torsion) * group.free_rank
+        orders = list(h.torsion) * group.free_rank
         for d in group.torsion:
             orders += [d] * h.free_rank
             orders += [gcd(e, d) for e in h.torsion + nxt.torsion]
-        out.append(FGAbelianGroup.from_cyclic_orders(orders))
+        out.append(FGAbelianGroup.from_cyclic_orders(orders, h.free_rank * group.free_rank))
     return out

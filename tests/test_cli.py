@@ -2,6 +2,7 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -469,3 +470,19 @@ class TestGroupGrammar:
         for bad in ["Z/x", "W", "Z^0", "Z/-2", "Z/1", ""]:
             with pytest.raises(FileFormatError):
                 parse_group(bad)
+
+    def test_free_rank_is_counted_not_listed(self, capsys):
+        # a free rank stays an integer from the command line to the output
+        tracemalloc.start()
+        try:
+            group = parse_group("Z^10000000")
+            parse_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code, out, _ = run(capsys, "fibration", "--base", fix("point.json"),
+                               "--coeff-even", "Z^10000000", "--coeff-odd", "0")
+            fibration_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group == FGAbelianGroup.free(10**7)
+        assert code == 0 and "even: Z^10000000\n" in out
+        assert parse_peak < 5 * 2**20 and fibration_peak < 5 * 2**20

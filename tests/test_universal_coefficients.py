@@ -63,21 +63,37 @@ def test_cyclic_orders_match_smith_form_of_diagonal(orders):
     assert FGAbelianGroup.from_cyclic_orders(orders) == expected
 
 
+def count_factorizations():
+    """Spies on the Smith normal form core, the rank and the transform
+    builder of ``exacthom``."""
+    return (mock.patch.object(exacthom, "_smith_core", wraps=exacthom._smith_core),
+            mock.patch.object(exacthom, "matrix_rank", wraps=exacthom.matrix_rank),
+            mock.patch.object(exacthom, "_transform", wraps=exacthom._transform))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_complexes())
 def test_one_smith_form_per_reduced_differential(c):
-    with mock.patch.object(exacthom, "snf_diagonal", wraps=snf_diagonal) as diag, \
-            mock.patch.object(exacthom, "smith_normal_form",
-                              wraps=exacthom.smith_normal_form) as snf:
+    # over Z one Smith normal form per reduced differential, over Q one
+    # certified rank and none; no transform is built either way
+    spy_core, spy_rank, spy_transform = count_factorizations()
+    with spy_core as core, spy_rank as rank, spy_transform as transform:
         all_cohomology(c)
-    assert diag.call_count == snf.call_count == len(reduce_complex(c).differentials)
+    maps = len(reduce_complex(c).differentials)
+    expected = (maps, 0) if c.ring == "Z" else (0, maps)
+    assert (core.call_count, rank.call_count) == expected
+    assert transform.call_count == 0
 
 
 def test_one_degree_takes_two_smith_forms():
-    # no unit entries, so nothing is reduced away
-    c = CochainComplex("Z", [2, 2, 1], [intmat([[2, 0], [0, 0]]), intmat([[0, 3]])])
-    with mock.patch.object(exacthom, "smith_normal_form",
-                           wraps=exacthom.smith_normal_form) as snf:
-        group = cohomology_at(c, 1)
-    assert snf.call_count == 2
-    assert group == FGAbelianGroup(0, (2,))
+    # no unit entries, so nothing is reduced away; over Q the two maps
+    # take a certified rank each and no Smith normal form
+    for ring, calls, expected in [("Z", (2, 0), FGAbelianGroup(0, (2,))),
+                                  ("Q", (0, 2), FGAbelianGroup.trivial())]:
+        c = CochainComplex(ring, [2, 2, 1], [intmat([[2, 0], [0, 0]]), intmat([[0, 3]])])
+        spy_core, spy_rank, spy_transform = count_factorizations()
+        with spy_core as core, spy_rank as rank, spy_transform as transform:
+            group = cohomology_at(c, 1)
+        assert (core.call_count, rank.call_count) == calls
+        assert transform.call_count == 0
+        assert group == expected
