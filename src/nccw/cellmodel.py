@@ -20,8 +20,6 @@ one, so the derived cochain complex raises degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     ComplexViolation,
     EndpointPairAtHigherStage,
@@ -30,25 +28,26 @@ from .errors import (
 )
 from .exacthom import RING_Q, RING_Z, CochainComplex, IntMatrix, euler, intmat
 from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism, k0_map
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class EndpointPair:
+class EndpointPair(Frozen):
     """Attaching data for a 1-stage: the two endpoint evaluations."""
 
     phi0: MultMorphism
     phi1: MultMorphism
 
-    def __post_init__(self):
-        if self.phi0.src != self.phi1.src or self.phi0.dst != self.phi1.dst:
+    def __init__(self, phi0: MultMorphism, phi1: MultMorphism):
+        if phi0.src != phi1.src or phi0.dst != phi1.dst:
             raise ShapeMismatch("endpoint morphisms must share domain and codomain")
+        object.__setattr__(self, "phi0", phi0)
+        object.__setattr__(self, "phi1", phi1)
 
 
-@dataclass(frozen=True, eq=False)
-class ProvidedCoboundary:
+class ProvidedCoboundary(Frozen):
     """Attaching data reduced to an explicit coboundary matrix."""
 
-    delta: IntMatrix = field(repr=False)
+    delta: IntMatrix
 
     def __init__(self, delta, shape: tuple[int, int] | None = None):
         object.__setattr__(self, "delta", intmat(delta, shape=shape))
@@ -57,19 +56,23 @@ class ProvidedCoboundary:
 AttachingData = EndpointPair | ProvidedCoboundary
 
 
-@dataclass(frozen=True, eq=False)
-class NCCWStage:
+class NCCWStage(Frozen):
     dim: int
     cell_algebra: FinDimAlgebra
-    attaching: AttachingData | None = None
+    attaching: AttachingData | None
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(
+        self, dim: int, cell_algebra: FinDimAlgebra, attaching: AttachingData | None = None
+    ):
+        if dim < 0:
             raise OutOfRange("stage dimension must be nonnegative")
-        if self.dim == 0 and self.attaching is not None:
+        if dim == 0 and attaching is not None:
             raise ShapeMismatch("stage 0 carries no attaching data")
-        if self.dim > 0 and self.attaching is None:
-            raise ShapeMismatch(f"stage {self.dim} needs attaching data")
+        if dim > 0 and attaching is None:
+            raise ShapeMismatch(f"stage {dim} needs attaching data")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "cell_algebra", cell_algebra)
+        object.__setattr__(self, "attaching", attaching)
 
 
 class NCCWComplex:

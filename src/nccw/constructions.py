@@ -18,8 +18,6 @@ characteristics), which is all this complex is consumed for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidMorphism, ShapeMismatch
 from .exacthom import (
     CochainComplex,
@@ -29,11 +27,11 @@ from .exacthom import (
     stack,
     zeros,
 )
+from .frozen import Frozen
 from .ssengine import Assembly, compute_theories
 
 
-@dataclass(frozen=True, eq=False)
-class CellularMorphism:
+class CellularMorphism(Frozen):
     """Degree-wise matrices between two cochain models.
 
     ``maps[p]`` has shape (rank of dst at p, rank of src at p); missing
@@ -43,7 +41,7 @@ class CellularMorphism:
 
     src: CochainComplex
     dst: CochainComplex
-    maps: tuple[IntMatrix, ...] = field(repr=False)
+    maps: tuple[IntMatrix, ...]
 
     def __init__(self, src: CochainComplex, dst: CochainComplex, maps):
         if src.ring != dst.ring:

@@ -38,10 +38,10 @@ Conventions
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import CertificateFailed, ComplexViolation, OutOfRange, ShapeMismatch
+from .frozen import Frozen
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -528,8 +528,7 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Frozen):
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``Z^free_rank (+) Z/torsion[0] (+) ...`` with the divisibility chain
@@ -537,20 +536,33 @@ class FGAbelianGroup:
     form is unique, so ``==`` decides isomorphism.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    free_rank: int
+    torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion=()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        torsion = tuple(int(d) for d in torsion)
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
             if d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self) -> str:
+        return f"FGAbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @classmethod
     def trivial(cls) -> "FGAbelianGroup":
@@ -569,21 +581,46 @@ class FGAbelianGroup:
         """Canonicalize an arbitrary direct sum of cyclic groups.
 
         ``0`` denotes an infinite cyclic summand, and ``free`` more of them
-        are counted rather than listed.  The torsion part is
-        renormalized into a divisibility chain by the exchange
-        ``Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)``: once position ``i``
-        has been exchanged with every later position it divides all of
-        them, and later exchanges only replace those by gcds and lcms of
-        its multiples.
+        are counted rather than listed.  Each finite order ``a`` is
+        inserted into a divisibility chain kept as runs of equal factors,
+        walking down from the top by the exchange
+        ``Z/v (+) Z/a = Z/gcd(v, a) (+) Z/lcm(v, a)``: in a run of ``v``
+        the top copy becomes ``lcm(v, a)``, the other copies stay (their
+        lcm with ``gcd(v, a)`` is ``v``), and ``gcd(v, a)`` is carried
+        down.  A carry of 1 changes nothing below; one left over at the
+        bottom is the new smallest factor.  Consecutive distinct factors
+        at least double, so one insertion visits at most as many runs as
+        the largest factor has bits; no order is factored.
         """
         free += sum(1 for d in orders if d == 0)
-        finite = [abs(int(d)) for d in orders if d != 0]
-        for i in range(len(finite)):
-            for j in range(i + 1, len(finite)):
-                a, b = finite[i], finite[j]
-                finite[i] = gcd(a, b)
-                finite[j] = a * b // finite[i]
-        return cls(free, tuple(d for d in finite if d > 1))
+        chain: list[list[int]] = []  # [factor, copies], each factor dividing the next
+        for d in orders:
+            a = abs(int(d))
+            i = len(chain)
+            while a > 1 and i:
+                i -= 1
+                v, copies = chain[i]
+                g = gcd(v, a)
+                if g == a:
+                    continue
+                if copies == 1:
+                    del chain[i]
+                    at = i
+                else:
+                    chain[i][1] = copies - 1
+                    at = i + 1
+                top = v // g * a
+                if at < len(chain) and chain[at][0] == top:
+                    chain[at][1] += 1
+                else:
+                    chain.insert(at, [top, 1])
+                a = g
+            if a > 1:
+                if chain and chain[0][0] == a:
+                    chain[0][1] += 1
+                else:
+                    chain.insert(0, [a, 1])
+        return cls(free, tuple(v for v, copies in chain for _ in range(copies)))
 
     @property
     def is_trivial(self) -> bool:
@@ -916,6 +953,9 @@ def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
     return [_group_between(r.rank(p), inv[p + 1], inv[p]) for p in range(r.top_degree + 1)]
 
 
+MAX_LISTED_SUMMANDS = 10**6
+
+
 def cohomology_with_coefficients(
     c: CochainComplex, group: FGAbelianGroup, plain: list[FGAbelianGroup] | None = None
 ) -> list[FGAbelianGroup]:
@@ -927,14 +967,24 @@ def cohomology_with_coefficients(
     everything follows from ``all_cohomology(c)`` by gcd arithmetic:
     Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  A caller
     that already holds ``all_cohomology(c)`` passes it as ``plain``.  Over
-    Q the group must be torsion-free.
+    Q the group must be torsion-free.  Free summands are counted, cyclic
+    ones listed; a degree that would list more than
+    ``MAX_LISTED_SUMMANDS`` of them raises ``OutOfRange``.
     """
     if c.ring == RING_Q and group.torsion:
         raise ValueError("rational coefficient cohomology needs a torsion-free group")
     plain = (all_cohomology(c) if plain is None else plain) + [FGAbelianGroup.trivial()]
     out = []
-    for h, nxt in zip(plain, plain[1:]):
-        orders = list(h.torsion) * group.free_rank
+    for p, (h, nxt) in enumerate(zip(plain, plain[1:])):
+        listed = len(h.torsion) * group.free_rank + len(group.torsion) * (
+            h.free_rank + len(h.torsion) + len(nxt.torsion)
+        )
+        if listed > MAX_LISTED_SUMMANDS:
+            raise OutOfRange(
+                f"H^{p} with coefficients has {listed} cyclic summands,"
+                f" more than the limit of {MAX_LISTED_SUMMANDS}"
+            )
+        orders = list(h.torsion) * group.free_rank if h.torsion else []
         for d in group.torsion:
             orders += [d] * h.free_rank
             orders += [gcd(e, d) for e in h.torsion + nxt.torsion]

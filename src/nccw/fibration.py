@@ -14,8 +14,6 @@ cannot express.  Non-simple systems are refused outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotSimple, UnresolvedExtension
 from .exacthom import (
     RING_Q,
@@ -27,6 +25,7 @@ from .exacthom import (
 )
 from .findim import THEORY_HP, THEORY_K
 from .constructions import CellularMorphism, relative_assemblies
+from .frozen import Frozen
 from .ssengine import (
     ASSEMBLY_UP_TO_EXTENSION,
     PARITY_EVEN,
@@ -39,24 +38,52 @@ from .ssengine import (
 )
 
 
-@dataclass(frozen=True)
-class SerreFibrationData:
+class SerreFibrationData(Frozen):
     """Base model, relative coefficient groups, and the simplicity flag."""
 
     base: CochainComplex
     g_even: FGAbelianGroup
     g_odd: FGAbelianGroup
     theory: str
-    simple: bool = True
+    simple: bool
 
-    def __post_init__(self):
-        if self.theory not in (THEORY_K, THEORY_HP):
-            raise ValueError(f"unknown theory {self.theory!r}")
-        expected_ring = RING_Z if self.theory == THEORY_K else RING_Q
-        if self.base.ring != expected_ring:
-            raise ValueError(f"theory {self.theory} needs a base over {expected_ring}")
-        if self.theory == THEORY_HP and (self.g_even.torsion or self.g_odd.torsion):
+    def __init__(
+        self,
+        base: CochainComplex,
+        g_even: FGAbelianGroup,
+        g_odd: FGAbelianGroup,
+        theory: str,
+        simple: bool = True,
+    ):
+        if theory not in (THEORY_K, THEORY_HP):
+            raise ValueError(f"unknown theory {theory!r}")
+        expected_ring = RING_Z if theory == THEORY_K else RING_Q
+        if base.ring != expected_ring:
+            raise ValueError(f"theory {theory} needs a base over {expected_ring}")
+        if theory == THEORY_HP and (g_even.torsion or g_odd.torsion):
             raise ValueError("HP coefficients must be torsion-free")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "g_even", g_even)
+        object.__setattr__(self, "g_odd", g_odd)
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "simple", simple)
+
+    def _fields(self) -> tuple:
+        return (self.base, self.g_even, self.g_odd, self.theory, self.simple)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"SerreFibrationData(base={self.base!r}, g_even={self.g_even!r},"
+            f" g_odd={self.g_odd!r}, theory={self.theory!r}, simple={self.simple!r})"
+        )
 
 
 def relative_coefficients(

@@ -8,17 +8,15 @@ That is all the even/odd theory functors can see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ShapeMismatch, SizeOverflow
 from .exacthom import FGAbelianGroup, IntMatrix, identity, intmat, zeros
+from .frozen import Frozen
 
 THEORY_K = "K"
 THEORY_HP = "HP"
 
 
-@dataclass(frozen=True)
-class FinDimAlgebra:
+class FinDimAlgebra(Frozen):
     """A direct sum of full matrix algebras, one summand per entry of
     ``sizes``.  The empty tuple is the zero algebra."""
 
@@ -29,6 +27,17 @@ class FinDimAlgebra:
         if any(n < 1 for n in sizes):
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self):
+        return hash(self.sizes)
+
+    def __repr__(self) -> str:
+        return f"FinDimAlgebra(sizes={self.sizes!r})"
 
     @property
     def block_count(self) -> int:
@@ -43,8 +52,7 @@ class FinDimAlgebra:
         return not self.sizes
 
 
-@dataclass(frozen=True, eq=False)
-class MultMorphism:
+class MultMorphism(Frozen):
     """A morphism recorded by its multiplicity matrix.
 
     ``mult`` has one row per target block and one column per source block;
@@ -55,7 +63,7 @@ class MultMorphism:
 
     src: FinDimAlgebra
     dst: FinDimAlgebra
-    mult: IntMatrix = field(repr=False)
+    mult: IntMatrix
 
     def __init__(self, src: FinDimAlgebra, dst: FinDimAlgebra, mult):
         object.__setattr__(self, "src", src)

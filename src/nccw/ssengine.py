@@ -19,7 +19,6 @@ that every differential leaves the support ``0 <= p <= k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import NotACocycleMap, OutOfRange, ShapeMismatch
@@ -35,6 +34,7 @@ from .exacthom import (
     zeros,
 )
 from .findim import THEORY_HP, THEORY_K
+from .frozen import Frozen
 
 PARITY_EVEN = 0
 PARITY_ODD = 1
@@ -48,8 +48,7 @@ def generator_orders(group: FGAbelianGroup) -> list[int]:
     return [0] * group.free_rank + list(group.torsion)
 
 
-@dataclass(frozen=True, eq=False)
-class Page:
+class Page(Frozen):
     """One page of the sequence: entries and differentials out of them.
 
     A first page made by :func:`from_cellular` keeps the checked complex
@@ -102,11 +101,15 @@ class Page:
         return dict(self.entries) == dict(other.entries)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSequence:
+class SpectralSequence(Frozen):
     theory: str
     k: int
     pages: tuple[Page, ...]
+
+    def __init__(self, theory: str, k: int, pages: tuple[Page, ...]):
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "pages", pages)
 
     @property
     def current_r(self) -> int:
@@ -124,8 +127,7 @@ class SpectralSequence:
         return self.pages[idx]
 
 
-@dataclass(frozen=True)
-class Assembly:
+class Assembly(Frozen):
     """Filtration pieces of one total parity, with honest extension flags.
 
     ``resolved`` is the actual group when the pieces force it (at most one
@@ -138,6 +140,37 @@ class Assembly:
     resolved: FGAbelianGroup | None
     note: str
     candidate: FGAbelianGroup
+
+    def __init__(
+        self,
+        parity: str,
+        pieces: tuple[FGAbelianGroup, ...],
+        resolved: FGAbelianGroup | None,
+        note: str,
+        candidate: FGAbelianGroup,
+    ):
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "candidate", candidate)
+
+    def _fields(self) -> tuple:
+        return (self.parity, self.pieces, self.resolved, self.note, self.candidate)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Assembly(parity={self.parity!r}, pieces={self.pieces!r},"
+            f" resolved={self.resolved!r}, note={self.note!r}, candidate={self.candidate!r})"
+        )
 
     @property
     def group(self) -> FGAbelianGroup:

@@ -244,6 +244,20 @@ def snf_homology_oracle(counts, boundaries):
     return out
 
 
+def pairwise_cyclic_group(orders, free: int = 0) -> FGAbelianGroup:
+    """Canonical form of a direct sum of cyclic groups by the pairwise
+    exchange ``Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)`` over all pairs
+    (quadratic in the number of orders); ``0`` is an infinite summand."""
+    free += sum(1 for d in orders if d == 0)
+    finite = [abs(int(d)) for d in orders if d != 0]
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            a, b = finite[i], finite[j]
+            finite[i] = math.gcd(a, b)
+            finite[j] = a * b // finite[i]
+    return FGAbelianGroup(free, tuple(d for d in finite if d > 1))
+
+
 def tensor_with_cyclic(g: FGAbelianGroup, d: int) -> FGAbelianGroup:
     orders = [d] * g.free_rank + [math.gcd(e, d) for e in g.torsion]
     return FGAbelianGroup.from_cyclic_orders(orders)

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from nccw.cli import (
     parse_group,
     parse_result,
 )
-from nccw.exacthom import FGAbelianGroup
+from nccw.exacthom import MAX_LISTED_SUMMANDS, FGAbelianGroup
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -379,6 +380,25 @@ class TestFibration:
         )
         assert code == 1
         assert "torsion" in err
+
+    @pytest.mark.parametrize("rank", [10**20 - 1, 10**8])
+    def test_free_rank_over_torsion_base_is_capped(self, capsys, rank):
+        # H^2(RP^2) = Z/2, so Z^rank coefficients need rank copies of Z/2
+        code, out, err = run(capsys, "fibration", "--base", fix("rp2.json"),
+                             "--coeff-even", f"Z^{rank}", "--coeff-odd", "0")
+        assert code == 1 and out == ""
+        assert err == (f"error: H^2 with coefficients has {rank} cyclic summands,"
+                       f" more than the limit of {MAX_LISTED_SUMMANDS}\n")
+
+    def test_many_cyclic_summands_within_a_second(self, capsys):
+        # the canonical form of 6000 copies of Z/2 is linear in their number
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "fibration", "--base", fix("rp2.json"),
+                           "--coeff-even", "Z^6000", "--coeff-odd", "0")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert f"(p=2, q=even): {' (+) '.join(['Z/2'] * 6000)}\n" in out
+        assert elapsed < 1.0
 
 
 class TestMaxDim:

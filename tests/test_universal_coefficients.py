@@ -7,6 +7,7 @@ involves no Tor or tensor arithmetic; canonical forms of cyclic sums are
 checked against the Smith normal form of their diagonal matrix.
 """
 
+import time
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from nccw.exacthom import (
     snf_diagonal,
 )
 
-from conftest import coefficient_expansion, small_complexes
+from conftest import coefficient_expansion, pairwise_cyclic_group, small_complexes
 
 groups = st.builds(
     FGAbelianGroup.from_cyclic_orders,
@@ -61,6 +62,34 @@ def test_cyclic_orders_match_smith_form_of_diagonal(orders):
                                 enumerate(orders)], shape=(n, n)))
     expected = FGAbelianGroup(n - len(diag), tuple(d for d in diag if d >= 2))
     assert FGAbelianGroup.from_cyclic_orders(orders) == expected
+
+
+smooth_orders = st.builds(
+    lambda a, b, c, d, sign: sign * 2**a * 3**b * 5**c * 7**d,
+    st.integers(0, 6), st.integers(0, 4), st.integers(0, 2), st.integers(0, 1),
+    st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-60, 60), smooth_orders, st.integers(1, 2**70)),
+             max_size=40),
+    st.integers(0, 3),
+)
+def test_cyclic_orders_match_pairwise_exchange(orders, free):
+    expected = pairwise_cyclic_group(orders, free)
+    assert FGAbelianGroup.from_cyclic_orders(orders, free) == expected
+
+
+def test_cyclic_orders_many_equal_copies():
+    # interleaved orders keep the chain at a few runs only if runs of
+    # equal factors merge; without the merge this takes seconds
+    start = time.perf_counter()
+    group = FGAbelianGroup.from_cyclic_orders([2, 6] * 5000 + [4, 0, 3])
+    elapsed = time.perf_counter() - start
+    assert group == FGAbelianGroup(1, (2,) * 5000 + (6,) * 5000 + (12,))
+    assert elapsed < 1.0
 
 
 def count_factorizations():
