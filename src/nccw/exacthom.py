@@ -33,6 +33,13 @@ Conventions
   elimination and is certified by a nonzero pivot minor and an
   annihilated kernel.  Over Q (HP) cohomology needs only ranks, so it
   runs no Smith normal form.
+* d after d = 0 is decided exactly without forming the product
+  (``product_is_zero``): Freivalds' matrix-vector test made deterministic
+  by Kronecker substitution.  The vector is ``(1, 2^w, 2^(2w), ...)`` with
+  ``w`` the bit length of ``max|a| * max|b| * inner dimension``, a bound
+  on every entry of the product, so a row of the product is zero exactly
+  when its packed value is.  Each matrix keeps its largest absolute entry
+  once computed (``IntMatrix.max_abs``).
 """
 
 from __future__ import annotations
@@ -60,11 +67,12 @@ class IntMatrix:
     :func:`intmat`, which validates; the constructor trusts its rows.
     """
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "rows", "_max_abs")
 
     def __init__(self, shape: tuple[int, int], rows):
         self.shape = shape
         self.rows = tuple(rows)
+        self._max_abs = None
 
     @classmethod
     def _dense(cls, rows, ncols: int) -> "IntMatrix":
@@ -84,6 +92,14 @@ class IntMatrix:
     @property
     def is_zero(self) -> bool:
         return not any(self.rows)
+
+    @property
+    def max_abs(self) -> int:
+        """The largest absolute value of an entry, 0 for a zero matrix.
+        Computed on first use and kept: the entries never change."""
+        if self._max_abs is None:
+            self._max_abs = max([abs(x) for row in self.rows for x in row.values()], default=0)
+        return self._max_abs
 
     @property
     def T(self) -> "IntMatrix":
@@ -193,8 +209,27 @@ def stack(blocks: list[list[IntMatrix]]) -> IntMatrix:
 
 
 def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """Decide ``a @ b == 0`` exactly: the d after d check of a complex."""
-    return (a @ b).is_zero
+    """Decide ``a @ b == 0`` exactly, without forming the product: the d
+    after d check of a complex.
+
+    Row ``k`` of ``b`` is packed into one integer ``P_k = sum_j b_kj 2^(w j)``
+    and row ``i`` of ``a`` is tested by ``sum_k a_ik P_k``, which equals
+    ``sum_j (ab)_ij 2^(w j)``.  Every ``|(ab)_ij|`` is at most
+    ``max|a| * max|b| * inner dimension < 2^w``, so the lowest nonzero
+    entry of a row of the product is not a multiple of ``2^w`` and the
+    packed sum is zero exactly when that row of the product is zero.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
+    w = (a.max_abs * b.max_abs * a.shape[1]).bit_length()
+    if not w:
+        # a zero or empty factor: nothing to pack
+        return True
+    packed = [sum([y << w * j for j, y in row.items()]) for row in b.rows]
+    for row in a.rows:
+        if sum([x * packed[k] for k, x in row.items()]):
+            return False
+    return True
 
 
 def determinant(mat: IntMatrix) -> int:

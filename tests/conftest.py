@@ -9,6 +9,8 @@ Matrix arithmetic in the oracles runs on plain lists of rows
 (``tolist()``), never on the matrix type it is used to check.
 """
 
+import contextlib
+import io
 import math
 import random
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 from nccw import cellmodel, exacthom
+from nccw.cli import main
 from nccw.errors import ShapeMismatch
 from nccw.exacthom import (
     RING_Z,
@@ -371,3 +374,18 @@ def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainCo
         ]
         diffs.append(block_diag(blocks))
     return CochainComplex(RING_Z, ranks, diffs)
+
+
+def check_cli_contract(argv) -> None:
+    """Run ``nccw.cli.main(argv)`` in process: the exit code must be 0, 1
+    or 2, a failure must print exactly one ``error:`` line to stderr and a
+    success nothing, and no exception may leave ``main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
+    else:
+        assert err.getvalue() == "", argv

@@ -1,0 +1,108 @@
+"""Fuzzing the complex and morphism files.
+
+The JSON fixtures are mutated (keys dropped or replaced, values of the
+wrong type, booleans, floats, integers of 2^70, ragged rows) and run
+through ``validate``, ``compute --pages``, all four ``transform`` ops and
+``fibration --map``.  Every run must end in exit 0, 1 or 2 with at most
+one ``error:`` line; no exception may leave ``cli.main``.
+"""
+
+import copy
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import check_cli_contract
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def fixture(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+COMPLEXES = [
+    fixture(name)
+    for name in ("point.json", "circle.json", "i2.json", "rp2.json", "torus.json",
+                 "ddviolation.json")
+]
+MORPHISM = fixture("point_to_circle.json")
+POINT = os.path.join(FIXTURES, "point.json")
+TOTAL = os.path.join(FIXTURES, "circle.json")
+
+# copied on every draw: a later mutation may edit a value in place
+bad_values = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 1.0, 1.5, "1", [], {}, [[]], [True], [1.5],
+                     [[1, 2], [3]], [[1], 1], [[True]], 2**70, -(2**70), [2**70], [[2**70]],
+                     [[-(2**70), 1]]]).map(copy.deepcopy),
+    st.integers(-3, 3),
+)
+
+
+def positions(doc, prefix=()):
+    """Every place in a JSON document, as the keys and indices leading to it."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from positions(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three places dropped, replaced or duplicated;
+    dropping or duplicating a list entry makes rows ragged."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(positions(doc))))
+        if not path:
+            doc = draw(bad_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["drop", "replace", "duplicate"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "replace":
+            parent[key] = draw(bad_values)
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key + "_"] = copy.deepcopy(parent[key])
+    return doc
+
+
+def as_is_or_mutated(doc):
+    return st.one_of(st.just(doc), mutated(doc))
+
+
+complexes = st.sampled_from(COMPLEXES).flatmap(as_is_or_mutated)
+morphisms = as_is_or_mutated(MORPHISM)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(complexes, morphisms, st.sampled_from(["k", "hp"]))
+def test_mutated_files_never_escape(cx, morphism, theory):
+    with tempfile.TemporaryDirectory() as folder:
+        path, mpath = os.path.join(folder, "complex.json"), os.path.join(folder, "map.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cx, fh)
+        with open(mpath, "w", encoding="utf-8") as fh:
+            json.dump(morphism, fh)
+        check_cli_contract(["validate", path])
+        check_cli_contract(["compute", path, "--pages", "--theory", theory])
+        for op in ("suspend", "cone"):
+            check_cli_contract(["transform", path, "--op", op, "--theory", theory])
+        # the fixture morphism starts at the point, so a mutated map also
+        # meets its intended source
+        for src in (path, POINT):
+            for op in ("cylinder", "mapcone"):
+                check_cli_contract(["transform", src, "--op", op, "--map", mpath,
+                                    "--theory", theory])
+            check_cli_contract(["fibration", "--base", src, "--map", mpath, "--total", TOTAL,
+                                "--theory", theory])

@@ -5,14 +5,12 @@ free ranks far beyond what could be listed, must end in exit 0, 1 or 2
 with at most one ``error:`` line; no exception may leave ``cli.main``.
 """
 
-import contextlib
-import io
 import os
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nccw.cli import main
+from conftest import check_cli_contract
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BASES = [os.path.join(FIXTURES, name) for name in ("point.json", "rp2.json", "circle.json")]
@@ -39,14 +37,5 @@ group_strings = st.one_of(
 @example("Z/2 + Q^9223372036854775808", "Z^3", "k")
 def test_group_strings_never_escape(even, odd, theory):
     for base in BASES:
-        argv = ["fibration", "--base", base, "--coeff-even", even, "--coeff-odd", odd,
-                "--theory", theory]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2), argv
-        if code:
-            message = err.getvalue()
-            assert message.startswith("error: ") and message.count("\n") == 1, argv
-        else:
-            assert err.getvalue() == "", argv
+        check_cli_contract(["fibration", "--base", base, "--coeff-even", even,
+                            "--coeff-odd", odd, "--theory", theory])

@@ -46,10 +46,15 @@ def test_operations_agree_with_dense_lists(data):
     assert (a != c) == (a_rows != c_rows)
     assert a.is_zero == all(x == 0 for row in a_rows for x in row)
     assert (-a).tolist() == [[-x for x in row] for row in a_rows]
-    assert (a - c).tolist() == [[x - y for x, y in zip(r, s)] for r, s in zip(a_rows, c_rows)]
+    difference = [[x - y for x, y in zip(r, s)] for r, s in zip(a_rows, c_rows)]
+    assert (a - c).tolist() == difference
     assert sorted(a.flat) == sorted(x for row in a_rows for x in row if x)
     assert all(a[i, j] == a_rows[i][j] for i in range(m) for j in range(k))
     assert a.tolist() == a_rows
+    assert (a.max_abs, a.T.max_abs, (-a).max_abs, (a - c).max_abs, product.max_abs) == tuple(
+        max((abs(x) for row in rows for x in row), default=0)
+        for rows in (a_rows, a_rows, a_rows, difference, dense_product(a_rows, b_rows, n))
+    )
 
 
 def test_shapes_without_entries_stay_apart():

@@ -6,14 +6,17 @@ the reduction and the sparse product are never checked against
 themselves.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nccw.errors import ComplexViolation
+from nccw.errors import ComplexViolation, ShapeMismatch
 from nccw.exacthom import (
     CochainComplex,
     FGAbelianGroup,
+    IntMatrix,
     all_cohomology,
     cohomology_at,
     intmat,
@@ -108,18 +111,66 @@ def test_simplex_boundary_reduces_to_two_cells():
                                  FGAbelianGroup.free(1)]
 
 
+def aliasing_pair(t, k):
+    """``a``, k ones in a row, and ``b`` with ``a @ b == [[k 2^t, -1]] != 0``.
+    For k = 1 and 2 its packed row reads zero at one bit less than the
+    width, and for k = 2 also at the width of a bound that leaves out the
+    inner dimension."""
+    return intmat([[1] * k]), intmat([[2**t, -1]] + [[2**t, 0]] * (k - 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_product_is_zero_agrees_with_dense_product(data):
-    m = data.draw(st.integers(0, 5))
-    k = data.draw(st.integers(0, 5))
-    n = data.draw(st.integers(0, 5))
-    entries = st.integers(-3, 3)
-    a = intmat(data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
-                                  min_size=m, max_size=m)), shape=(m, k))
-    b = intmat(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                  min_size=k, max_size=k)), shape=(k, n))
-    assert product_is_zero(a, b) == dense_product_is_zero(a, b)
+    kind = data.draw(st.sampled_from(["random", "zero", "aliasing"]))
+    m, k, n = (data.draw(st.integers(0, 8)) for _ in range(3))
+
+    def rows(nrows, ncols):
+        bound = data.draw(st.sampled_from([3, 2**70]))
+        entries = st.integers(-bound, bound)
+        return data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+
+    if kind == "aliasing":
+        # t rising, so that a bound kept from an earlier matrix is too small
+        # for a later one
+        pairs = [aliasing_pair(t, j) for t in range(1, 131) for j in (1, 2)]
+    elif kind == "zero":
+        # [p p] stacked over [q; -q], the inner index shuffled: zero by construction
+        r = k // 2
+        p, q = rows(m, r), rows(r, n)
+        order = data.draw(st.permutations(range(2 * r)))
+        a_rows = [[row[c % r] for c in order] for row in p]
+        b_rows = [q[c] if c < r else [-x for x in q[c - r]] for c in order]
+        pairs = [(intmat(a_rows, shape=(m, 2 * r)), intmat(b_rows, shape=(2 * r, n)))]
+    else:
+        pairs = [(intmat(rows(m, k), shape=(m, k)), intmat(rows(k, n), shape=(k, n)))]
+    for a, b in pairs:
+        assert product_is_zero(a, b) == dense_product_is_zero(a, b)
+        if kind != "random":
+            assert product_is_zero(a, b) == (kind == "zero")
+
+
+def test_product_is_zero_never_forms_the_product(monkeypatch):
+    rng = random.Random(40)
+    p = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(40)]
+    q = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(20)]
+    a = intmat([row + row for row in p])
+    b_rows = q + [[-x for x in row] for row in q]
+    b = intmat(b_rows)
+    b_rows[39][7] += 1
+    off = intmat(b_rows)
+    assert a.shape == b.shape == (40, 40)
+    assert dense_product_is_zero(a, b) and not dense_product_is_zero(a, off)
+
+    def refuse(self, other):
+        raise AssertionError("product_is_zero formed the product")
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    assert product_is_zero(a, b)
+    assert not product_is_zero(a, off)
+    with pytest.raises(ShapeMismatch):
+        product_is_zero(a, intmat(q))
 
 
 def test_violation_reports_degree_of_the_failing_pair():
