@@ -7,18 +7,19 @@ invariants from the cellular cochain complex.
 
 from nccw import cochain_complex, compute_theories, euler_characteristic, from_classical_cw
 from nccw.exacthom import intmat, zeros
+from nccw.ssengine import ASSEMBLY_EXACT
 
 
 def show(name, model):
     print(f"--- {name} (cells {list(model.cell_counts)}, chi = {euler_characteristic(model)})")
     for theory, symbol in (("K", "Z"), ("HP", "Q")):
         even, odd = compute_theories(cochain_complex(model, theory), theory)
-        flag = "  [up to extension]" if even.resolved is None else ""
+        flag = "  [up to extension]" if even.note != ASSEMBLY_EXACT else ""
         print(f"  {theory:2} even: {even.group.render(symbol)}{flag}")
         if len(even.pieces) > 1:
             print(f"       pieces along the filtration: "
                   f"{', '.join(g.render(symbol) for g in even.pieces)}")
-        flag = "  [up to extension]" if odd.resolved is None else ""
+        flag = "  [up to extension]" if odd.note != ASSEMBLY_EXACT else ""
         print(f"  {theory:2} odd:  {odd.group.render(symbol)}{flag}")
     print()
 

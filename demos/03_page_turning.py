@@ -10,6 +10,7 @@ exact), but they can be supplied explicitly on any computed page.
 from nccw import from_classical_cw, cochain_complex
 from nccw.exacthom import CochainComplex, intmat, zeros
 from nccw.ssengine import (
+    ASSEMBLY_EXACT,
     assemble,
     e_infinity,
     from_cellular,
@@ -22,7 +23,7 @@ def dump(page, k, symbol="Z"):
     print(f"  E^{page.r}:")
     for (p, parity) in page.support():
         row = "even" if parity == 0 else "odd"
-        group = page.entry_at(p, parity)
+        group = page.entry(p, parity)
         print(f"    (p={p}, q={row}): {group.render(symbol)}    "
               f"[homological label p' = {k - p}]")
     for (p, parity), mat in sorted(page.differentials.items()):
@@ -38,7 +39,7 @@ ss = turn_page(ss)
 dump(ss.pages[-1], ss.k)
 print(f"  stable from page {ss.stabilized_at}")
 even, odd = assemble(ss, "even"), assemble(ss, "odd")
-flag = " up to extension" if even.resolved is None else ""
+flag = " up to extension" if even.note != ASSEMBLY_EXACT else ""
 print(f"  even: {even.group}{flag}, odd: {odd.group}\n")
 
 # A tower with cells three dimensions apart leaves room for a d^3.  With

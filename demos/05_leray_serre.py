@@ -27,7 +27,7 @@ data = SerreFibrationData(base=circle, g_even=Z, g_odd=Z, theory="K")
 page = leray_serre_e2(data)
 for (p, parity) in page.support():
     row = "even" if parity == 0 else "odd"
-    print(f"  E^2 (p={p}, q={row}): {page.entry_at(p, parity)}")
+    print(f"  E^2 (p={p}, q={row}): {page.entry(p, parity)}")
 even, odd = compute_total(data)
 print(f"  totals: even {even.group}, odd {odd.group}")
 direct = compute_theories(torus, "K")

@@ -29,7 +29,6 @@ from .exacthom import (
     FGAbelianGroup,
     IntMatrix,
     all_cohomology,
-    cohomology_at,
     cohomology_with_coefficients,
     intmat,
     reduce_complex,

@@ -13,7 +13,8 @@ Subcommands
     Coefficient spectral sequence over a base: dumps the second page and
     the assembled totals.
 
-Exit codes: 0 success, 1 domain or validation error, 2 parse error.
+Exit codes: 0 success, 1 domain or validation error, 2 parse error (of a
+file or of the command line).  Each failure prints one ``error:`` line.
 
 File formats (JSON, integers only, no floats anywhere):
 
@@ -284,7 +285,7 @@ def page_payload(page: Page, symbol: str) -> dict:
                 "p": p,
                 "paper_p": k - p,
                 "parity": "even" if parity == PARITY_EVEN else "odd",
-                "group": page.entry_at(p, parity).render(symbol),
+                "group": page.entry(p, parity).render(symbol),
             }
         )
     diffs = []
@@ -474,8 +475,16 @@ def cmd_fibration(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line (exit 2) instead
+    of a usage block; ``-h`` still prints help and exits 0."""
+
+    def error(self, message):
+        raise FileFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nccw",
         description="Exact K-theory and periodic cyclic homology of NCCW complexes",
     )
@@ -522,8 +531,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,8 @@ Conventions
   elimination and is certified by a nonzero pivot minor and an
   annihilated kernel.  Over Q (HP) cohomology needs only ranks, so it
   runs no Smith normal form.
+* :func:`all_cohomology` is the one producer of a complex's groups;
+  there is no per-degree variant.
 * d after d = 0 is decided exactly without forming the product
   (``product_is_zero``): Freivalds' matrix-vector test made deterministic
   by Kronecker substitution.  The vector is ``(1, 2^w, 2^(2w), ...)`` with
@@ -685,18 +687,20 @@ class FGAbelianGroup(Frozen):
         if self.free_rank == 1:
             terms.append(symbol)
         elif self.free_rank > 1:
-            terms.append(f"{symbol}^{self.free_rank}")
-        try:
-            terms.extend(f"Z/{d}" for d in self.torsion)
-        except ValueError:
-            # the interpreter's limit on int-to-str conversion
-            raise OutOfRange(
-                f"invariant factor of {self.torsion[-1].bit_length()} bits is too long to print"
-            ) from None
+            terms.append(f"{symbol}^{_printed(self.free_rank, 'free rank')}")
+        terms.extend(f"Z/{_printed(d, 'invariant factor')}" for d in self.torsion)
         return " (+) ".join(terms) if terms else "0"
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _printed(n: int, what: str) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        # the interpreter's limit on int-to-str conversion
+        raise OutOfRange(f"{what} of {n.bit_length()} bits is too long to print") from None
 
 
 def cokernel_group(mat: IntMatrix) -> FGAbelianGroup:
@@ -849,28 +853,6 @@ def _map_invariants(ring: str, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     return len(diag), tuple(d for d in diag if d >= 2)
 
 
-def _group_between(rank: int, out_inv, in_inv) -> FGAbelianGroup:
-    """ker/im at a degree of rank ``rank`` from the invariants of its
-    outgoing and incoming maps.
-
-    The free rank is ``rank - rank(out) - rank(in)`` and the torsion is
-    exactly the torsion of the incoming map; every torsion class of the
-    ambient cokernel already lies in the kernel of the outgoing map
-    because the composite vanishes.
-    """
-    return FGAbelianGroup(rank - out_inv[0] - in_inv[0], in_inv[1])
-
-
-def cohomology_at(c: CochainComplex, p: int) -> FGAbelianGroup:
-    """ker/im at degree ``p`` in canonical form, from the invariants of
-    each map at that degree."""
-    if not 0 <= p <= c.top_degree:
-        raise OutOfRange(f"degree {p} outside 0..{c.top_degree}")
-    out_inv = _map_invariants(c.ring, c.differential(p))
-    in_inv = _map_invariants(c.ring, c.differential(p - 1))
-    return _group_between(c.rank(p), out_inv, in_inv)
-
-
 def euler(ranks) -> int:
     """Alternating sum ``c_0 - c_1 + c_2 - ...`` of ranks or cell counts."""
     return sum((-1) ** p * r for p, r in enumerate(ranks))
@@ -977,15 +959,22 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
 
 
 def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
-    """Cohomology in every degree: the complex is reduced once by
-    ``reduce_complex``, each differential of the remainder is read once
-    (``matrix_rank`` over Q, ``snf_diagonal`` over Z), and every degree
-    comes from the maps on either side of it."""
+    """Cohomology in every degree, the one producer of a complex's groups.
+
+    The complex is reduced once by ``reduce_complex`` and each
+    differential of the remainder is read once (``matrix_rank`` over Q,
+    ``snf_diagonal`` over Z).  At degree ``p`` the free rank is ``c_p``
+    minus the ranks of the maps out of and into ``p``, and the torsion is
+    that of the incoming map: every torsion class of its cokernel lies in
+    the kernel of the outgoing map because the composite vanishes."""
     r = reduce_complex(c)
-    # inv[p + 1] belongs to the map out of degree p; the ends are zero maps
+    # inv[p] belongs to the map into degree p, inv[p + 1] to the map out of it
     none = (0, ())
     inv = [none] + [_map_invariants(r.ring, d) for d in r.differentials] + [none]
-    return [_group_between(r.rank(p), inv[p + 1], inv[p]) for p in range(r.top_degree + 1)]
+    return [
+        FGAbelianGroup(rank - out[0] - into[0], into[1])
+        for rank, into, out in zip(r.ranks, inv, inv[1:])
+    ]
 
 
 MAX_LISTED_SUMMANDS = 10**6

@@ -93,7 +93,7 @@ def relative_coefficients(
 
     These must be actual groups to serve as coefficients, so an assembly
     that is only known up to extension raises ``UnresolvedExtension``
-    instead of silently picking the split candidate.
+    instead of silently reporting the direct sum of its pieces.
     """
     even, odd = relative_assemblies(f, theory)
     for a in (even, odd):

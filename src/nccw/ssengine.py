@@ -10,8 +10,10 @@ command line does on request for display only.
 Entries are finitely generated abelian groups in canonical form.  Maps
 between entries are integer matrices on the canonical generators, which
 are ordered free part first, then torsion factors in invariant-factor
-order.  For cellular input only even rows are ever populated (cells have
-no odd theory), so storage and page turning cost as much as a single row.
+order.  A first page comes only from :func:`from_cellular`: it holds a
+cellular complex in its even row (cells have no odd theory) and turns
+into that complex's ``all_cohomology``.  An assembly reports the direct
+sum of its pieces and notes whether the pieces force it.
 
 Every complex of top dimension ``k`` stabilizes at page ``k + 1``: beyond
 that every differential leaves the support ``0 <= p <= k``.
@@ -31,7 +33,6 @@ from .exacthom import (
     all_cohomology,
     intmat,
     presented_subquotient,
-    zeros,
 )
 from .findim import THEORY_HP, THEORY_K
 from .frozen import Frozen
@@ -51,8 +52,9 @@ def generator_orders(group: FGAbelianGroup) -> list[int]:
 class Page(Frozen):
     """One page of the sequence: entries and differentials out of them.
 
-    A first page made by :func:`from_cellular` keeps the checked complex
-    it came from as ``source``, and is turned through that complex."""
+    A first page is made only by :func:`from_cellular`: it keeps the
+    checked complex it came from as ``source`` and is turned through that
+    complex, so a first page without one is refused."""
 
     r: int
     k: int
@@ -62,6 +64,8 @@ class Page(Frozen):
     source: CochainComplex | None
 
     def __init__(self, r, k, theory, entries, differentials, source=None):
+        if int(r) == 1 and source is None:
+            raise ValueError("a first page needs the complex it came from")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "k", int(k))
@@ -77,22 +81,12 @@ class Page(Frozen):
             MappingProxyType({key: m for key, m in differentials.items() if not m.is_zero}),
         )
 
-    def entry_at(self, p: int, parity: int) -> FGAbelianGroup:
-        return self.entries.get((p, parity % 2), FGAbelianGroup.trivial())
-
     def entry(self, p: int, q: int) -> FGAbelianGroup:
-        return self.entry_at(p, q % 2)
+        """The entry at ``(p, q)``; only ``q mod 2`` matters."""
+        return self.entries.get((p, q % 2), FGAbelianGroup.trivial())
 
     def differential_out(self, p: int, parity: int) -> IntMatrix | None:
         return self.differentials.get((p, parity % 2))
-
-    def differential(self, p: int, q: int) -> IntMatrix:
-        """Matrix of d at (p, q); a zero matrix of the right shape when
-        nothing nonzero is recorded."""
-        stored = self.differential_out(p, q % 2)
-        if stored is not None:
-            return stored
-        return zeros(self.entry(p + self.r, q - self.r + 1).ngens, self.entry(p, q).ngens)
 
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.entries.keys())
@@ -128,35 +122,25 @@ class SpectralSequence(Frozen):
 
 
 class Assembly(Frozen):
-    """Filtration pieces of one total parity, with honest extension flags.
+    """Filtration pieces of one total parity and their direct sum ``group``.
 
-    ``resolved`` is the actual group when the pieces force it (at most one
-    nonzero piece, or every piece torsion-free); otherwise it is None and
-    ``candidate`` holds the flagged direct-sum guess.
-    """
+    ``note`` is ``exact`` when the pieces force the group (at most one
+    nonzero piece, or every piece torsion-free) and ``up_to_extension``
+    when the sum is only one of the groups with these pieces."""
 
     parity: str
     pieces: tuple[FGAbelianGroup, ...]
-    resolved: FGAbelianGroup | None
+    group: FGAbelianGroup
     note: str
-    candidate: FGAbelianGroup
 
-    def __init__(
-        self,
-        parity: str,
-        pieces: tuple[FGAbelianGroup, ...],
-        resolved: FGAbelianGroup | None,
-        note: str,
-        candidate: FGAbelianGroup,
-    ):
+    def __init__(self, parity, pieces, group, note):
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "note", note)
-        object.__setattr__(self, "candidate", candidate)
 
     def _fields(self) -> tuple:
-        return (self.parity, self.pieces, self.resolved, self.note, self.candidate)
+        return (self.parity, self.pieces, self.group, self.note)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -169,13 +153,8 @@ class Assembly(Frozen):
     def __repr__(self) -> str:
         return (
             f"Assembly(parity={self.parity!r}, pieces={self.pieces!r},"
-            f" resolved={self.resolved!r}, note={self.note!r}, candidate={self.candidate!r})"
+            f" group={self.group!r}, note={self.note!r})"
         )
-
-    @property
-    def group(self) -> FGAbelianGroup:
-        """The resolved group, or the flagged candidate when unresolved."""
-        return self.resolved if self.resolved is not None else self.candidate
 
 
 def from_cellular(complex_: CochainComplex, theory: str) -> SpectralSequence:
@@ -213,36 +192,12 @@ def _turned_entry(ss: SpectralSequence, page: Page, p: int, parity: int) -> FGAb
     only, and its free rank is the dimension over Q."""
     r = page.r
     g = presented_subquotient(
-        generator_orders(page.entry_at(p, parity)),
+        generator_orders(page.entry(p, parity)),
         page.differential_out(p, parity),
-        generator_orders(page.entry_at(p + r, (parity - r + 1) % 2)),
+        generator_orders(page.entry(p + r, parity - r + 1)),
         page.differential_out(p - r, (parity + r - 1) % 2),
     )
     return FGAbelianGroup.free(g.free_rank) if ss.theory == THEORY_HP else g
-
-
-def _turned_first_page(page: Page) -> dict:
-    """Entries of the second page.  The first page has free entries and
-    d^1 keeps the parity, so each parity row is a cochain complex and its
-    cohomology is the next row.  A page with a ``source`` is that complex
-    in its even row, already checked; any other row is checked here."""
-    ring = RING_Z if page.theory == THEORY_K else RING_Q
-    entries = {}
-    for parity in (PARITY_EVEN, PARITY_ODD):
-        row = [page.entry_at(p, parity) for p in range(page.k + 1)]
-        if all(g.is_trivial for g in row):
-            continue
-        if any(g.torsion for g in row):
-            raise ShapeMismatch("entries of a first page must be free")
-        if page.source is not None and parity == PARITY_EVEN:
-            complex_ = page.source
-        else:
-            ranks = [g.free_rank for g in row]
-            diffs = [page.differential(p, parity) for p in range(page.k)]
-            complex_ = CochainComplex(ring, ranks, diffs)
-        for p, g in enumerate(all_cohomology(complex_)):
-            entries[(p, parity)] = g
-    return entries
 
 
 def turn_page(ss: SpectralSequence) -> SpectralSequence:
@@ -251,13 +206,13 @@ def turn_page(ss: SpectralSequence) -> SpectralSequence:
     canonical form.  Differentials on the new page default to zero.
 
     A page without differentials turns into a page with the same
-    entries, and the first page turns row by row through
-    ``all_cohomology``."""
+    entries, and a first page into ``all_cohomology`` of its ``source``,
+    which sits in the even row."""
     page = ss.pages[-1]
     if not page.differentials:
         new_entries = dict(page.entries)
     elif page.r == 1:
-        new_entries = _turned_first_page(page)
+        new_entries = {(p, PARITY_EVEN): g for p, g in enumerate(all_cohomology(page.source))}
     else:
         new_entries = {
             key: _turned_entry(ss, page, key[0], key[1]) for key in page.support()
@@ -299,7 +254,7 @@ def set_higher_differential(
         raise OutOfRange("only differentials on pages r >= 2 may be overridden")
     page = ss.page(r)
     parity = q % 2
-    src = page.entry_at(p, parity)
+    src = page.entry(p, q)
     dst = page.entry(p + r, q - r + 1)
     mat = intmat(mat)
     if mat.shape != (dst.ngens, src.ngens):
@@ -345,8 +300,8 @@ def assemble(ss: SpectralSequence, parity: str) -> Assembly:
 
     At filtration degree ``p`` the row of total parity ``t`` is
     ``q = t - p (mod 2)``; pieces are listed by increasing ``p``.  The
-    result is resolved exactly when the associated graded forces the
-    group; otherwise the direct-sum candidate is attached but flagged.
+    group is their direct sum, noted ``exact`` when the associated graded
+    forces it and ``up_to_extension`` otherwise.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -354,14 +309,12 @@ def assemble(ss: SpectralSequence, parity: str) -> Assembly:
     stable = e_infinity(ss)
     pieces = []
     for p in range(ss.k + 1):
-        g = stable.entry_at(p, (t - p) % 2)
+        g = stable.entry(p, t - p)
         if not g.is_trivial:
             pieces.append(g)
-    candidate = FGAbelianGroup.trivial().direct_sum(*pieces)
     forced = len(pieces) <= 1 or all(not g.torsion for g in pieces)
-    if forced:
-        return Assembly(parity, tuple(pieces), candidate, ASSEMBLY_EXACT, candidate)
-    return Assembly(parity, tuple(pieces), None, ASSEMBLY_UP_TO_EXTENSION, candidate)
+    note = ASSEMBLY_EXACT if forced else ASSEMBLY_UP_TO_EXTENSION
+    return Assembly(parity, tuple(pieces), FGAbelianGroup.trivial().direct_sum(*pieces), note)
 
 
 def compute_theories(complex_: CochainComplex, theory: str) -> tuple[Assembly, Assembly]:

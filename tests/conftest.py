@@ -1,12 +1,16 @@
 """Shared model builders, random generators, and independent oracles.
 
-The oracles here deliberately avoid the code paths they check: cellular
-homology is recomputed from Smith normal form data alone, six-term
-kernel/cokernel groups come straight from one matrix, and coefficient
-cohomology has a Tor/tensor formula oracle and a block-diagonal free
-expansion whose plain cohomology needs no universal coefficient theorem.
-Matrix arithmetic in the oracles runs on plain lists of rows
-(``tolist()``), never on the matrix type it is used to check.
+The oracles here share no code with the paths they check: every rank and
+invariant factor comes from sympy (``Matrix.rank`` and
+``invariant_factors``, imported on first use), never from nccw's Smith
+normal form, rank certificate, reduction or cohomology.  Cellular
+homology and cohomology are read degree by degree from the unreduced
+maps, six-term kernel/cokernel groups come straight from one matrix, and
+coefficient cohomology has a Tor/tensor formula oracle and a
+block-diagonal free expansion whose plain cohomology needs no universal
+coefficient theorem.  Matrix arithmetic in the oracles runs on plain
+lists of rows (``tolist()``), never on the matrix type it is used to
+check.
 """
 
 import contextlib
@@ -17,18 +21,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from nccw import cellmodel, exacthom
+from nccw import cellmodel
 from nccw.cli import main
 from nccw.errors import ShapeMismatch
 from nccw.exacthom import (
+    RING_Q,
     RING_Z,
     CochainComplex,
     FGAbelianGroup,
-    cokernel_group,
     intmat,
     kernel_basis,
-    matrix_rank,
-    snf_diagonal,
     zeros,
 )
 from nccw.findim import FinDimAlgebra, MultMorphism
@@ -219,16 +221,36 @@ def block_rows(blocks: list[tuple[list[list[int]], int, int]], nrows: int, ncols
     return out
 
 
+def sympy_invariants(mat, ring=RING_Z) -> tuple[int, tuple[int, ...]]:
+    """``(rank, invariant factors >= 2)`` of a matrix, from sympy alone:
+    over Q ``Matrix.rank`` and no torsion, over Z the nonzero
+    ``invariant_factors``."""
+    rows, cols = mat.shape
+    if not rows or not cols:
+        return 0, ()
+    import sympy
+    from sympy.matrices.normalforms import invariant_factors
+
+    m = sympy.Matrix(rows, cols, [x for row in mat.tolist() for x in row])
+    if ring == RING_Q:
+        return m.rank(), ()
+    factors = [int(d) for d in invariant_factors(m, domain=sympy.ZZ) if d]
+    return len(factors), tuple(d for d in factors if d >= 2)
+
+
 def six_term_oracle(delta0):
-    """(kernel, cokernel) of one coboundary, straight from SNF data."""
-    ker = FGAbelianGroup.free(delta0.shape[1] - matrix_rank(delta0))
-    coker = cokernel_group(delta0)
+    """(kernel, cokernel) of one coboundary, straight from its invariant
+    factors."""
+    rank, torsion = sympy_invariants(delta0)
+    ker = FGAbelianGroup.free(delta0.shape[1] - rank)
+    coker = FGAbelianGroup(delta0.shape[0] - rank, torsion)
     return ker, coker
 
 
 def snf_homology_oracle(counts, boundaries):
-    """Cellular homology H_p = ker del_p / im del_(p+1) from raw SNF facts;
-    never touches CochainComplex or the engine."""
+    """Cellular homology H_p = ker del_p / im del_(p+1) from the invariant
+    factors of the boundary maps; never touches CochainComplex or the
+    engine."""
     k = len(counts) - 1
 
     def boundary(p):
@@ -241,10 +263,20 @@ def snf_homology_oracle(counts, boundaries):
 
     out = []
     for p in range(k + 1):
-        free = counts[p] - matrix_rank(boundary(p)) - matrix_rank(boundary(p + 1))
-        torsion = [d for d in snf_diagonal(boundary(p + 1)) if d >= 2]
-        out.append(FGAbelianGroup(free, tuple(torsion)))
+        into, torsion = sympy_invariants(boundary(p + 1))
+        free = counts[p] - sympy_invariants(boundary(p))[0] - into
+        out.append(FGAbelianGroup(free, torsion))
     return out
+
+
+def cohomology_oracle(c: CochainComplex) -> list[FGAbelianGroup]:
+    """ker/im in every degree of the unreduced complex: free rank ``c_p``
+    minus the ranks of both maps at ``p``, torsion from the incoming map."""
+    inv = [sympy_invariants(c.differential(p), c.ring) for p in range(-1, c.top_degree + 1)]
+    return [
+        FGAbelianGroup(c.rank(p) - inv[p + 1][0] - inv[p][0], inv[p][1])
+        for p in range(c.top_degree + 1)
+    ]
 
 
 def pairwise_cyclic_group(orders, free: int = 0) -> FGAbelianGroup:
@@ -272,10 +304,9 @@ def tor_with_cyclic(g: FGAbelianGroup, d: int) -> FGAbelianGroup:
 
 def coefficient_cohomology_oracle(c: CochainComplex, g: FGAbelianGroup):
     """Tor/tensor formula for cohomology with coefficients, built only on
-    the plain integer cohomology groups, read degree by degree from the
-    unreduced complex."""
+    the plain integer cohomology groups of :func:`cohomology_oracle`."""
     k = c.top_degree
-    plain = [exacthom.cohomology_at(c, p) for p in range(k + 1)]
+    plain = cohomology_oracle(c)
     out = []
     for p in range(k + 1):
         nxt = plain[p + 1] if p + 1 <= k else FGAbelianGroup.trivial()
@@ -291,10 +322,10 @@ def coefficient_cohomology_oracle(c: CochainComplex, g: FGAbelianGroup):
 
 
 def parity_sums(c: CochainComplex):
-    """Direct cellular computation: (even, odd) parity direct sums of the
-    degreewise cohomology of the unreduced complex, bypassing the page
-    engine and the reduction it turns its first page with."""
-    groups = [exacthom.cohomology_at(c, p) for p in range(c.top_degree + 1)]
+    """Direct cellular computation: (even, odd) parity direct sums of
+    :func:`cohomology_oracle`, bypassing the page engine and the reduction
+    it turns its first page with."""
+    groups = cohomology_oracle(c)
     even = FGAbelianGroup.trivial().direct_sum(*[g for p, g in enumerate(groups) if p % 2 == 0])
     odd = FGAbelianGroup.trivial().direct_sum(*[g for p, g in enumerate(groups) if p % 2 == 1])
     return even, odd

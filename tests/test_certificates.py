@@ -6,9 +6,11 @@ operations (``exacthom._check_snf``), the rank over Q by a nonzero pivot
 minor and an annihilated kernel (``exacthom._check_rank``).  sympy's
 invariant factors and rank are the independent oracles; the mutation
 tests hand each certificate a corrupted log or witness and expect
-``CertificateFailed``.
+``CertificateFailed``.  The same sympy functions are the oracles in
+``conftest.py``, which must not reach nccw's own group computations.
 """
 
+import ast
 import os
 from unittest import mock
 
@@ -247,3 +249,22 @@ def test_reduction_euler_check_is_named():
     with mock.patch.object(exacthom, "euler", side_effect=[0, 1]):
         with pytest.raises(CertificateFailed, match="Euler"):
             reduce_complex(c)
+
+
+def test_conftest_oracles_share_no_group_code():
+    # the random complexes may still be built with ``kernel_basis``
+    forbidden = {"matrix_rank", "snf_diagonal", "cokernel_group", "all_cohomology",
+                 "reduce_complex", "smith_normal_form", "presented_subquotient",
+                 "cohomology_with_coefficients", "_map_invariants"}
+    with open(os.path.join(os.path.dirname(__file__), "conftest.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not forbidden & names
+    assert "invariant_factors" in names

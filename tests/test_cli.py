@@ -136,6 +136,35 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: invariant factor") and err.count("\n") == 1
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on printing integers in this interpreter")
+    def test_oversized_free_rank_is_one_error_line(self, capsys, tmp_path):
+        # Z^(10^4300 - 1) over ten points is a free rank of 4301 digits
+        base = tmp_path / "ten_points.json"
+        base.write_text(json.dumps({"classical_cw": {"counts": [10], "boundaries": []}}))
+        code, out, err = run(capsys, "fibration", "--base", str(base),
+                             "--coeff-even", "Z^" + "9" * 4300, "--coeff-odd", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: free rank of 14288 bits") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["compute"], ["compute", "--theory", "x", "f.json"], ["frobnicate"],
+         ["compute", fix("rp2.json"), "--no-such-flag"], ["fibration", "--base"]],
+    )
+    def test_bad_command_line_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: nccw") and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nccw compute")
+
 
 class TestCompute:
     def test_rp2_k(self, capsys):

@@ -36,7 +36,7 @@ ZERO = CochainComplex("Z", [0], [])
 
 def groups_of(c, theory="K"):
     even, odd = compute_theories(c, theory)
-    return even.candidate, odd.candidate
+    return even.group, odd.group
 
 
 class TestCellularMorphism:
@@ -86,11 +86,11 @@ class TestCone:
         for theory in ("K", "HP"):
             c = cochain_complex(projective_plane_cw(), theory)
             even, odd = relative_assemblies(CellularMorphism.identity_on(c), theory)
-            assert even.resolved == odd.resolved == FGAbelianGroup.trivial()
+            assert even.group == odd.group == FGAbelianGroup.trivial()
 
     def test_zero_input(self):
         even, odd = relative_assemblies(CellularMorphism.identity_on(ZERO), "K")
-        assert even.resolved == odd.resolved == FGAbelianGroup.trivial()
+        assert even.group == odd.group == FGAbelianGroup.trivial()
 
 
 class TestMappingCylinder:

@@ -1,10 +1,14 @@
-"""Fuzzing the complex and morphism files.
+"""Fuzzing the complex and morphism files, and the command line.
 
 The JSON fixtures are mutated (keys dropped or replaced, values of the
 wrong type, booleans, floats, integers of 2^70, ragged rows) and run
 through ``validate``, ``compute --pages``, all four ``transform`` ops and
-``fibration --map``.  Every run must end in exit 0, 1 or 2 with at most
-one ``error:`` line; no exception may leave ``cli.main``.
+``fibration --map``.  Random command lines are drawn from every
+subcommand, flag and value the parser knows, plus ambiguous
+abbreviations, stray values and missing files.  Every run must end in
+exit 0, 1 or 2 with at most one ``error:`` line; no exception may leave
+``cli.main``.  Help is left out: ``-h`` prints it and exits 0 through
+``SystemExit``, as ``tests/test_cli.py`` checks.
 """
 
 import copy
@@ -106,3 +110,24 @@ def test_mutated_files_never_escape(cx, morphism, theory):
                                     "--theory", theory])
             check_cli_contract(["fibration", "--base", src, "--map", mpath, "--total", TOTAL,
                                 "--theory", theory])
+
+
+SUBCOMMANDS = ["validate", "compute", "transform", "fibration"]
+FLAGS = ["--theory", "--pages", "--paper-indexing", "--json", "--op", "--map", "--total",
+         "--base", "--coeff-even", "--coeff-odd", "--not-simple", "--theory=hp", "--op=cone",
+         "--th", "--pa", "--co", "--", "-", "-x", "--no-such-flag"]
+VALUES = ["k", "hp", "K", "suspend", "cone", "cylinder", "mapcone", "Z", "Z/2+Z", "Q^2",
+          "0", "Z^-1", "", POINT, TOTAL, os.path.join(FIXTURES, "rp2.json"),
+          os.path.join(FIXTURES, "point_to_circle.json"),
+          os.path.join(FIXTURES, "no_such_file.json"), FIXTURES]
+command_lines = st.builds(
+    lambda first, rest: [first] + rest,
+    st.one_of(st.sampled_from(SUBCOMMANDS), st.sampled_from(FLAGS + VALUES)),
+    st.lists(st.sampled_from(SUBCOMMANDS + FLAGS + VALUES), max_size=9),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines)
+def test_random_command_lines_never_escape(argv):
+    check_cli_contract(argv)

@@ -55,9 +55,9 @@ RECORDS = {
         lambda: SpectralSequence("K", 1, (_page(),)), "pages", lambda: SpectralSequence("K", 1)
     ),
     "Assembly": (
-        lambda: Assembly("even", (_group(),), _group(), "exact", _group()),
-        "resolved",
-        lambda: Assembly("even", (), None, "exact"),
+        lambda: Assembly("even", (_group(),), _group(), "exact"),
+        "group",
+        lambda: Assembly("even", (), FGAbelianGroup()),
     ),
     "CellularMorphism": (
         lambda: CellularMorphism.identity_on(_complex()),
@@ -110,8 +110,8 @@ def test_defaults_and_keywords():
     assert page.source is None
     assert SpectralSequence(theory="K", k=1, pages=(page,)).current_r == 2
     g = _group()
-    a = Assembly(parity="odd", pieces=(), resolved=None, note="up_to_extension", candidate=g)
-    assert a.group == g
+    a = Assembly(parity="odd", pieces=(g,), group=g, note="exact")
+    assert (a.parity, a.pieces, a.group, a.note) == ("odd", (g,), g, "exact")
     c = _complex()
     assert CellularMorphism(src=c, dst=c, maps=[identity(1)]).map_at(1).shape == (1, 1)
     fib = SerreFibrationData(c, g, g, "K")
@@ -142,9 +142,9 @@ def test_constructor_checks_keep_their_messages():
         (FGAbelianGroup(1, [2]), FGAbelianGroup(1, (2,)), (1, (2,))),
         (FinDimAlgebra([1, 2]), FinDimAlgebra((1, 2)), ((1, 2),)),
         (
-            Assembly("even", (FGAbelianGroup(1),), None, "up_to_extension", FGAbelianGroup(1)),
-            Assembly("even", (FGAbelianGroup(1),), None, "up_to_extension", FGAbelianGroup(1)),
-            ("even", (FGAbelianGroup(1),), None, "up_to_extension", FGAbelianGroup(1)),
+            Assembly("even", (FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
+            Assembly("even", (FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
+            ("even", (FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
         ),
     ],
     ids=["FGAbelianGroup", "FinDimAlgebra", "Assembly"],
@@ -162,7 +162,8 @@ def test_value_types_differ_when_a_field_differs():
     assert FGAbelianGroup(1) != FGAbelianGroup(2)
     assert FinDimAlgebra([1, 2]) != FinDimAlgebra([2, 1])
     g = FGAbelianGroup(1)
-    assert Assembly("even", (g,), g, "exact", g) != Assembly("odd", (g,), g, "exact", g)
+    assert Assembly("even", (g,), g, "exact") != Assembly("odd", (g,), g, "exact")
+    assert Assembly("even", (g,), g, "exact") != Assembly("even", (g,), g, "up_to_extension")
 
 
 def test_fibration_data_compares_by_fields():
@@ -191,9 +192,9 @@ def test_value_type_reprs_list_their_fields():
     assert repr(FGAbelianGroup(1, (2,))) == "FGAbelianGroup(free_rank=1, torsion=(2,))"
     assert repr(FinDimAlgebra([1, 2])) == "FinDimAlgebra(sizes=(1, 2))"
     g = FGAbelianGroup()
-    assert repr(Assembly("odd", (), g, "exact", g)) == (
-        "Assembly(parity='odd', pieces=(), resolved=FGAbelianGroup(free_rank=0, torsion=()),"
-        " note='exact', candidate=FGAbelianGroup(free_rank=0, torsion=()))"
+    assert repr(Assembly("odd", (), g, "exact")) == (
+        "Assembly(parity='odd', pieces=(), group=FGAbelianGroup(free_rank=0, torsion=()),"
+        " note='exact')"
     )
     assert repr(SerreFibrationData(_complex(), g, g, "K")) == (
         "SerreFibrationData(base=CochainComplex(ring=Z, ranks=[1, 1]),"

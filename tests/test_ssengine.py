@@ -4,11 +4,10 @@ import pytest
 
 from nccw.cellmodel import cochain_complex
 from nccw.errors import NotACocycleMap, OutOfRange, ShapeMismatch
-from nccw.exacthom import CochainComplex, FGAbelianGroup, cohomology_at, intmat, zeros
+from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat, zeros
 from nccw.ssengine import (
     PARITY_EVEN,
     Page,
-    SpectralSequence,
     assemble,
     compute_theories,
     e_infinity,
@@ -20,6 +19,7 @@ from nccw.ssengine import (
 
 from conftest import (
     circle_model,
+    cohomology_oracle,
     parity_sums,
     point_model,
     projective_plane_cw,
@@ -238,7 +238,7 @@ class TestAssemble:
         even = assemble(ss, "even")
         odd = assemble(ss, "odd")
         assert [g for g in even.pieces] == [Z, Z]
-        assert even.resolved == FGAbelianGroup.free(2)
+        assert even.group == FGAbelianGroup.free(2)
         assert even.note == "exact"
         assert odd.group.is_trivial
 
@@ -246,17 +246,25 @@ class TestAssemble:
         ss = from_cellular(i2_complex(), "K")
         even = assemble(ss, "even")
         odd = assemble(ss, "odd")
-        assert even.resolved == Z
-        assert odd.resolved == FGAbelianGroup.cyclic(2)
+        assert (even.group, even.note) == (Z, "exact")
+        assert (odd.group, odd.note) == (FGAbelianGroup.cyclic(2), "exact")
 
     def test_rp2_flags_extension(self):
         ss = from_cellular(cochain_complex(projective_plane_cw(), "K"), "K")
         even = assemble(ss, "even")
         assert list(even.pieces) == [Z, FGAbelianGroup.cyclic(2)]
-        assert even.resolved is None
         assert even.note == "up_to_extension"
-        assert even.candidate == FGAbelianGroup(1, (2,))
+        assert even.group == FGAbelianGroup(1, (2,))
         assert assemble(ss, "odd").group.is_trivial
+
+    def test_two_torsion_pieces_flag_extension(self):
+        # Z/2 by Z/2 could be Z/4 or Z/2 (+) Z/2: the sum is reported, flagged
+        z2 = FGAbelianGroup.cyclic(2)
+        ss = from_e2_page(Page(2, 2, "K", {(0, PARITY_EVEN): z2, (2, PARITY_EVEN): z2}, {}))
+        even = assemble(ss, "even")
+        assert even.pieces == (z2, z2)
+        assert even.group == FGAbelianGroup(0, (2, 2))
+        assert even.note == "up_to_extension"
 
     def test_matches_parity_sums_with_default_differentials(self):
         rng = random.Random(53)
@@ -264,8 +272,8 @@ class TestAssemble:
             c = random_cochain_complex(rng)
             even, odd = compute_theories(c, "K")
             expected = parity_sums(c)
-            assert even.candidate == expected[0]
-            assert odd.candidate == expected[1]
+            assert even.group == expected[0]
+            assert odd.group == expected[1]
 
     def test_six_term_oracle_equivalence(self):
         rng = random.Random(59)
@@ -273,8 +281,8 @@ class TestAssemble:
             x = random_stage1_complex(rng)
             even, odd = compute_theories(cochain_complex(x, "K"), "K")
             ker, coker = six_term_oracle(x.coboundaries[0])
-            assert even.resolved == ker
-            assert odd.resolved == coker
+            assert (even.group, even.note) == (ker, "exact")
+            assert (odd.group, odd.note) == (coker, "exact")
 
     def test_hp_never_flags_extension(self):
         rng = random.Random(61)
@@ -324,8 +332,8 @@ class TestTurnCost:
         for _ in range(25):
             c = random_cochain_complex(rng, max_k=3, max_rank=4)
             page2 = turn_page(from_cellular(c, "K")).pages[-1]
-            groups = [page2.entry_at(p, PARITY_EVEN) for p in range(c.top_degree + 1)]
-            assert groups == [cohomology_at(c, p) for p in range(c.top_degree + 1)]
+            groups = [page2.entry(p, PARITY_EVEN) for p in range(c.top_degree + 1)]
+            assert groups == cohomology_oracle(c)
             assert not page2.differentials
 
     def test_first_turn_hp_matches_rational_ranks(self):
@@ -333,11 +341,11 @@ class TestTurnCost:
         page2 = turn_page(from_cellular(c, "HP")).pages[-1]
         assert dict(page2.entries) == {(0, PARITY_EVEN): Z}
 
-    def test_first_page_with_torsion_refused(self):
-        entries = {(0, PARITY_EVEN): FGAbelianGroup.cyclic(2), (1, PARITY_EVEN): Z}
-        page = Page(1, 1, "K", entries, {(0, PARITY_EVEN): intmat([[1]])})
-        with pytest.raises(ShapeMismatch, match="free"):
-            turn_page(SpectralSequence("K", 1, (page,)))
+    def test_first_page_without_source_refused(self):
+        # a first page comes only from ``from_cellular``, which keeps its complex
+        entries = {(0, PARITY_EVEN): Z, (1, PARITY_EVEN): Z}
+        with pytest.raises(ValueError, match="first page"):
+            Page(1, 1, "K", entries, {(0, PARITY_EVEN): intmat([[1]])})
 
     def test_idle_turn_keeps_entries(self, monkeypatch):
         _forbid_subquotient(monkeypatch)
