@@ -75,19 +75,24 @@ class NCCWStage(Frozen):
         object.__setattr__(self, "attaching", attaching)
 
 
-class NCCWComplex:
+class NCCWComplex(Frozen):
     """A validated tower with derived cell counts and coboundaries.
 
-    Instances are built through :func:`build`; they are immutable and all
-    derived data is computed once.  ``cochain`` is the checked integer
-    cochain complex of the coboundaries.
+    Instances are built through :func:`build`, compare by identity and
+    have frozen fields; all derived data is computed once.  ``cochain``
+    is the checked integer cochain complex of the coboundaries.
     """
 
+    stages: tuple[NCCWStage, ...]
+    cochain: CochainComplex
+    coboundaries: tuple[IntMatrix, ...]
+    cell_counts: tuple[int, ...]
+
     def __init__(self, stages: tuple[NCCWStage, ...], cochain: CochainComplex):
-        self.stages = stages
-        self.cochain = cochain
-        self.coboundaries = cochain.differentials
-        self.cell_counts = cochain.ranks
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "cochain", cochain)
+        object.__setattr__(self, "coboundaries", cochain.differentials)
+        object.__setattr__(self, "cell_counts", cochain.ranks)
 
     @property
     def top_dimension(self) -> int:

@@ -50,7 +50,7 @@ import operator
 from math import gcd
 
 from .errors import CertificateFailed, ComplexViolation, OutOfRange, ShapeMismatch
-from .frozen import Frozen
+from .frozen import Value
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -565,7 +565,7 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
 # finitely generated abelian groups
 
 
-class FGAbelianGroup(Frozen):
+class FGAbelianGroup(Value):
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``Z^free_rank (+) Z/torsion[0] (+) ...`` with the divisibility chain
@@ -589,17 +589,6 @@ class FGAbelianGroup(Frozen):
             prev = d
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
-    def __repr__(self) -> str:
-        return f"FGAbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @classmethod
     def trivial(cls) -> "FGAbelianGroup":
@@ -778,12 +767,18 @@ def presented_subquotient(
 # cochain complexes
 
 
-class CochainComplex:
+class CochainComplex(Value):
     """A bounded complex of free modules over Z or Q with exact matrices.
 
     ``ranks`` are the module ranks in degrees ``0 .. k``; adjacent
-    composites are checked to vanish on construction.
+    composites are checked to vanish on construction, and the fields are
+    frozen after that check.  Two complexes are equal when their ring,
+    ranks and differentials are; complexes are not hashable.
     """
+
+    ring: str
+    ranks: tuple[int, ...]
+    differentials: tuple[IntMatrix, ...]
 
     def __init__(self, ring: str, ranks, differentials):
         if ring not in (RING_Z, RING_Q):
@@ -801,9 +796,9 @@ class CochainComplex:
         for p, (first, second) in enumerate(zip(diffs, diffs[1:])):
             if not product_is_zero(second, first):
                 raise ComplexViolation(p)
-        self.ring = ring
-        self.ranks = ranks
-        self.differentials = tuple(diffs)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "differentials", tuple(diffs))
 
     @property
     def top_degree(self) -> int:
@@ -821,15 +816,6 @@ class CochainComplex:
             return self.differentials[p]
         return zeros(self.rank(p + 1), self.rank(p))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CochainComplex):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.ranks == other.ranks
-            and self.differentials == other.differentials
-        )
-
     __hash__ = None
 
     def __repr__(self) -> str:
@@ -839,7 +825,9 @@ class CochainComplex:
         """The same differentials over ``ring``; they were checked when this
         complex was built, so nothing is checked again."""
         out = object.__new__(CochainComplex)
-        out.ring, out.ranks, out.differentials = ring, self.ranks, self.differentials
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "ranks", self.ranks)
+        object.__setattr__(out, "differentials", self.differentials)
         return out
 
 

@@ -25,7 +25,7 @@ from .exacthom import (
 )
 from .findim import THEORY_HP, THEORY_K
 from .constructions import CellularMorphism, relative_assemblies
-from .frozen import Frozen
+from .frozen import Value
 from .ssengine import (
     ASSEMBLY_UP_TO_EXTENSION,
     PARITY_EVEN,
@@ -38,7 +38,7 @@ from .ssengine import (
 )
 
 
-class SerreFibrationData(Frozen):
+class SerreFibrationData(Value):
     """Base model, relative coefficient groups, and the simplicity flag."""
 
     base: CochainComplex
@@ -67,23 +67,6 @@ class SerreFibrationData(Frozen):
         object.__setattr__(self, "g_odd", g_odd)
         object.__setattr__(self, "theory", theory)
         object.__setattr__(self, "simple", simple)
-
-    def _fields(self) -> tuple:
-        return (self.base, self.g_even, self.g_odd, self.theory, self.simple)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"SerreFibrationData(base={self.base!r}, g_even={self.g_even!r},"
-            f" g_odd={self.g_odd!r}, theory={self.theory!r}, simple={self.simple!r})"
-        )
 
 
 def relative_coefficients(

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch, SizeOverflow
 from .exacthom import FGAbelianGroup, IntMatrix, identity, intmat, zeros
-from .frozen import Frozen
+from .frozen import Frozen, Value
 
 THEORY_K = "K"
 THEORY_HP = "HP"
 
 
-class FinDimAlgebra(Frozen):
+class FinDimAlgebra(Value):
     """A direct sum of full matrix algebras, one summand per entry of
     ``sizes``.  The empty tuple is the zero algebra."""
 
@@ -27,17 +27,6 @@ class FinDimAlgebra(Frozen):
         if any(n < 1 for n in sizes):
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sizes == other.sizes
-
-    def __hash__(self):
-        return hash(self.sizes)
-
-    def __repr__(self) -> str:
-        return f"FinDimAlgebra(sizes={self.sizes!r})"
 
     @property
     def block_count(self) -> int:

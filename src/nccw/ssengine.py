@@ -33,9 +33,10 @@ from .exacthom import (
     all_cohomology,
     intmat,
     presented_subquotient,
+    relation_matrix,
 )
 from .findim import THEORY_HP, THEORY_K
-from .frozen import Frozen
+from .frozen import Frozen, Value
 
 PARITY_EVEN = 0
 PARITY_ODD = 1
@@ -121,7 +122,7 @@ class SpectralSequence(Frozen):
         return self.pages[idx]
 
 
-class Assembly(Frozen):
+class Assembly(Value):
     """Filtration pieces of one total parity and their direct sum ``group``.
 
     ``note`` is ``exact`` when the pieces force the group (at most one
@@ -138,23 +139,6 @@ class Assembly(Frozen):
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "note", note)
-
-    def _fields(self) -> tuple:
-        return (self.parity, self.pieces, self.group, self.note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Assembly(parity={self.parity!r}, pieces={self.pieces!r},"
-            f" group={self.group!r}, note={self.note!r})"
-        )
 
 
 def from_cellular(complex_: CochainComplex, theory: str) -> SpectralSequence:
@@ -221,22 +205,11 @@ def turn_page(ss: SpectralSequence) -> SpectralSequence:
     return SpectralSequence(ss.theory, ss.k, ss.pages + (new_page,))
 
 
-def _check_well_defined(mat, src_orders, dst_orders):
-    for j, dj in enumerate(src_orders):
-        if dj == 0:
-            continue
-        for i, oi in enumerate(dst_orders):
-            v = dj * mat[i, j]
-            if (oi == 0 and v != 0) or (oi != 0 and v % oi != 0):
-                raise NotACocycleMap(
-                    f"column {j} (order {dj}) does not respect the target relations"
-                )
-
-
 def _check_composite_zero(second, first, dst_orders, what):
+    """``second @ first`` must vanish modulo the relations ``dst_orders``."""
     for row, oi in zip((second @ first).rows, dst_orders):
         if any(v % oi != 0 if oi else v for v in row.values()):
-            raise NotACocycleMap(f"composite with the {what} differential is nonzero")
+            raise NotACocycleMap(f"composite with {what} is nonzero")
 
 
 def set_higher_differential(
@@ -266,16 +239,16 @@ def set_higher_differential(
     if mat.is_zero:
         diffs.pop(key, None)
     else:
-        src_orders = generator_orders(src)
         dst_orders = generator_orders(dst)
-        _check_well_defined(mat, src_orders, dst_orders)
+        source_relations = relation_matrix(generator_orders(src))
+        _check_composite_zero(mat, source_relations, dst_orders, "the source relations")
         nxt = page.differential_out(p + r, (parity - r + 1) % 2)
         if nxt is not None:
             after = page.entry(p + 2 * r, q - 2 * r + 2)
-            _check_composite_zero(nxt, mat, generator_orders(after), "next")
+            _check_composite_zero(nxt, mat, generator_orders(after), "the next differential")
         prev = page.differential_out(p - r, (parity + r - 1) % 2)
         if prev is not None:
-            _check_composite_zero(mat, prev, dst_orders, "previous")
+            _check_composite_zero(mat, prev, dst_orders, "the previous differential")
         diffs[key] = mat
     idx = r - ss.pages[0].r
     new_page = Page(r, ss.k, ss.theory, dict(page.entries), diffs)

@@ -407,10 +407,11 @@ def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainCo
     return CochainComplex(RING_Z, ranks, diffs)
 
 
-def check_cli_contract(argv) -> None:
+def check_cli_contract(argv) -> int:
     """Run ``nccw.cli.main(argv)`` in process: the exit code must be 0, 1
     or 2, a failure must print exactly one ``error:`` line to stderr and a
-    success nothing, and no exception may leave ``main``."""
+    success nothing, and no exception may leave ``main``.  Returns the
+    exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -420,3 +421,4 @@ def check_cli_contract(argv) -> None:
         assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
     else:
         assert err.getvalue() == "", argv
+    return code

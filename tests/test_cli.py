@@ -17,6 +17,8 @@ from nccw.cli import (
 )
 from nccw.exacthom import MAX_LISTED_SUMMANDS, FGAbelianGroup
 
+from conftest import check_cli_contract
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -164,6 +166,48 @@ class TestExitCodes:
             main(["compute", "-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: nccw compute")
+
+
+class TestFileFormatRefusals:
+    """Each schema refusal is exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            [{"dim": 1, "F": [1], "delta": [[1]]}],
+            [{"dim": 0, "algebra": [1]}, {"dim": 1, "F": [1]}],
+        ],
+        ids=["coboundary_before_stage_0", "no_attaching_data"],
+    )
+    def test_bad_stage(self, tmp_path, stages):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"stages": stages}))
+        assert check_cli_contract(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "maps", [{}, [[[1]], [[1]], [[1]]]], ids=["not_a_list", "too_many_degrees"]
+    )
+    def test_bad_maps(self, tmp_path, maps):
+        with open(fix("circle.json")) as fh:
+            circle = json.load(fh)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"dst": circle, "maps": maps}))
+        argv = ["transform", fix("point.json"), "--op", "mapcone", "--map", str(path)]
+        assert check_cli_contract(argv) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--map", fix("point_to_circle.json")], ["--coeff-even", "Z"]],
+        ids=["map_without_total", "one_coefficient"],
+    )
+    def test_incomplete_fibration(self, extra):
+        assert check_cli_contract(["fibration", "--base", fix("point.json"), *extra]) == 2
+
+    @pytest.mark.parametrize("counts", [[0, 1], [1, 0]], ids=["zero_rows", "zero_columns"])
+    def test_empty_boundary_matrix_accepted(self, tmp_path, counts):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"classical_cw": {"counts": counts, "boundaries": [[]]}}))
+        assert check_cli_contract(["compute", str(path)]) == 0
 
 
 class TestCompute:

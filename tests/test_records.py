@@ -5,14 +5,27 @@ deleting a field raises ``AttributeError``, a missing constructor
 argument raises ``TypeError``, keywords and defaults work.  The value
 types (``FGAbelianGroup``, ``FinDimAlgebra``, ``Assembly``,
 ``SerreFibrationData``) compare and hash by their fields and keep
-field-style reprs; every other record compares by identity.
+field-style reprs; ``CochainComplex`` compares by its fields and is not
+hashable; every other record compares by identity.  Equality and
+hashing are defined in one place, the value base of ``nccw.frozen``.
 """
+
+import ast
+import os
 
 import pytest
 
-from nccw.cellmodel import EndpointPair, NCCWStage, ProvidedCoboundary
+import nccw
+from nccw.cellmodel import EndpointPair, NCCWComplex, NCCWStage, ProvidedCoboundary, build
 from nccw.constructions import CellularMorphism
-from nccw.exacthom import RING_Z, CochainComplex, FGAbelianGroup, identity
+from nccw.exacthom import (
+    RING_Z,
+    CochainComplex,
+    FGAbelianGroup,
+    all_cohomology,
+    identity,
+    intmat,
+)
 from nccw.fibration import SerreFibrationData
 from nccw.findim import FinDimAlgebra, MultMorphism
 from nccw.ssengine import Assembly, Page, SpectralSequence
@@ -68,6 +81,10 @@ RECORDS = {
         lambda: SerreFibrationData(_complex(), _group(), FGAbelianGroup(), "K"),
         "simple",
         lambda: SerreFibrationData(_complex(), _group(), _group()),
+    ),
+    "CochainComplex": (_complex, "differentials", lambda: CochainComplex(RING_Z, [1])),
+    "NCCWComplex": (
+        lambda: build([NCCWStage(0, _alg())]), "cochain", lambda: NCCWComplex(())
     ),
 }
 
@@ -178,7 +195,7 @@ def test_fibration_data_compares_by_fields():
 @pytest.mark.parametrize(
     "name",
     ["MultMorphism", "EndpointPair", "ProvidedCoboundary", "NCCWStage", "Page",
-     "SpectralSequence", "CellularMorphism"],
+     "SpectralSequence", "CellularMorphism", "NCCWComplex"],
 )
 def test_other_records_compare_by_identity(name):
     build = RECORDS[name][0]
@@ -201,3 +218,60 @@ def test_value_type_reprs_list_their_fields():
         " g_even=FGAbelianGroup(free_rank=0, torsion=()),"
         " g_odd=FGAbelianGroup(free_rank=0, torsion=()), theory='K', simple=True)"
     )
+
+
+def test_cochain_complex_compares_by_fields_and_is_unhashable():
+    c = _complex()
+    assert c == _complex() and not c != _complex()
+    assert c != CochainComplex(RING_Z, [1, 1], [[[2]]])
+    assert c != c.with_ring("Q")
+    assert c != (c.ring, c.ranks, c.differentials)
+    with pytest.raises(TypeError):
+        hash(c)
+    assert repr(c) == "CochainComplex(ring=Z, ranks=[1, 1])"
+    assert repr(build([NCCWStage(0, _alg())])) == "NCCWComplex(cell_counts=[2])"
+
+
+def test_checked_complex_cannot_be_reassigned_past_its_check():
+    # d∘d = 0 was checked on the zero differentials; the reassignment
+    # would make d∘d = 1 and must not reach the group computation
+    c = CochainComplex("Z", [1, 1, 1], [[[0]], [[0]]])
+    with pytest.raises(AttributeError):
+        c.differentials = (intmat([[1]]), intmat([[1]]))
+    assert all_cohomology(c) == [FGAbelianGroup(1)] * 3
+    tower = build([NCCWStage(0, _alg())])
+    with pytest.raises(AttributeError):
+        tower.cochain = c
+    assert tower.cell_counts == (2,)
+
+
+# (file name, class) pairs allowed to define equality or hashing
+_EQUALITY_OWNERS = {("frozen.py", "Value"), ("exacthom.py", "IntMatrix")}
+
+
+def test_equality_and_hashing_are_defined_only_by_the_value_base():
+    src = os.path.dirname(nccw.__file__)
+    owners = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined = [stmt.name]
+                elif isinstance(stmt, ast.Assign):
+                    # ``__hash__ = None`` only removes hashing
+                    unhash = isinstance(stmt.value, ast.Constant) and stmt.value.value is None
+                    defined = [
+                        t.id for t in stmt.targets
+                        if isinstance(t, ast.Name) and not (t.id == "__hash__" and unhash)
+                    ]
+                else:
+                    continue
+                if {"__eq__", "__hash__", "_fields"} & set(defined):
+                    owners.add((name, cls.name))
+    assert owners == _EQUALITY_OWNERS

@@ -7,6 +7,7 @@ from nccw.errors import NotACocycleMap, OutOfRange, ShapeMismatch
 from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat, zeros
 from nccw.ssengine import (
     PARITY_EVEN,
+    PARITY_ODD,
     Page,
     assemble,
     compute_theories,
@@ -207,11 +208,33 @@ class TestSetHigherDifferential:
         page4 = turn_page(ss).pages[-1]
         assert not page4.entries
 
+    def test_composite_with_next_recorded_differential_must_vanish(self):
+        # Z at (0, even), (2, odd) and (4, even): d^2 out of (0, 0) lands
+        # at (2, -1), whose d^2 into (4, -2) is already recorded
+        entries = {(0, PARITY_EVEN): Z, (2, PARITY_ODD): Z, (4, PARITY_EVEN): Z}
+        ss = from_e2_page(Page(2, 4, "K", entries, {}))
+        ss = set_higher_differential(ss, 2, 2, 1, intmat([[1]]))
+        with pytest.raises(NotACocycleMap, match="next differential"):
+            set_higher_differential(ss, 2, 0, 0, intmat([[1]]))
+
+    def test_ill_defined_map_names_the_source_relations(self):
+        # Z/2 at (0, even) cannot map its generator to a free generator
+        entries = {(0, PARITY_EVEN): FGAbelianGroup.cyclic(2), (2, PARITY_ODD): Z}
+        ss = from_e2_page(Page(2, 2, "K", entries, {}))
+        with pytest.raises(NotACocycleMap, match="source relations"):
+            set_higher_differential(ss, 2, 0, 0, intmat([[1]]))
+
     def test_image_inside_torsion_entry(self):
         from nccw.exacthom import presented_subquotient
 
         got = presented_subquotient([2], None, [], intmat([[1]]))
         assert got.is_trivial
+
+
+class TestFromE2Page:
+    def test_later_page_refused(self):
+        with pytest.raises(OutOfRange):
+            from_e2_page(Page(3, 2, "K", {(0, PARITY_EVEN): Z}, {}))
 
 
 class TestEInfinity:
@@ -241,6 +264,10 @@ class TestAssemble:
         assert even.group == FGAbelianGroup.free(2)
         assert even.note == "exact"
         assert odd.group.is_trivial
+
+    def test_unknown_parity_refused(self):
+        with pytest.raises(ValueError, match="parity"):
+            assemble(from_cellular(i2_complex(), "K"), "both")
 
     def test_i2_single_pieces_resolve(self):
         ss = from_cellular(i2_complex(), "K")
