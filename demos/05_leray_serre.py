@@ -28,7 +28,7 @@ page = leray_serre_e2(data)
 for (p, parity) in page.support():
     row = "even" if parity == 0 else "odd"
     print(f"  E^2 (p={p}, q={row}): {page.entry(p, parity)}")
-even, odd = compute_total(data)
+even, odd = compute_total(page)
 print(f"  totals: even {even.group}, odd {odd.group}")
 direct = compute_theories(torus, "K")
 print(f"  direct torus computation: even {direct[0].group}, odd {direct[1].group}")
@@ -38,15 +38,17 @@ point = CochainComplex("Z", [1], [])
 include = CellularMorphism(point, circle, [intmat([[1]])])
 g_even, g_odd = relative_coefficients(include, "K")
 print(f"  relative groups of (point -> circle): even {g_even}, odd {g_odd}")
-even, odd = compute_total(SerreFibrationData(point, g_even, g_odd, "K"))
+even, odd = compute_total(leray_serre_e2(SerreFibrationData(point, g_even, g_odd, "K")))
 print(f"  totals over a point base: even {even.group}, odd {odd.group}")
 
 print("\n== a base with torsion in its own cohomology")
 i2 = CochainComplex("Z", [2, 1], [intmat([[2, -2]])])
-even, odd = compute_total(SerreFibrationData(i2, Z, FGAbelianGroup.trivial(), "K"))
+data = SerreFibrationData(i2, Z, FGAbelianGroup.trivial(), "K")
+even, odd = compute_total(leray_serre_e2(data))
 print(f"  dimension-drop base with coefficients (Z, 0): even {even.group}, odd {odd.group}")
 
 print("\n== the rational picture never sees torsion")
 i2_q = CochainComplex("Q", [2, 1], [intmat([[2, -2]])])
-even, odd = compute_total(SerreFibrationData(i2_q, Z, FGAbelianGroup.trivial(), "HP"))
+data = SerreFibrationData(i2_q, Z, FGAbelianGroup.trivial(), "HP")
+even, odd = compute_total(leray_serre_e2(data))
 print(f"  same base, HP: even {even.group.render('Q')}, odd {odd.group.render('Q')}")

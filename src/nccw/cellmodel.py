@@ -26,8 +26,8 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from .exacthom import RING_Q, RING_Z, CochainComplex, IntMatrix, euler, intmat
-from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism, k0_map
+from .exacthom import RING_Z, CochainComplex, IntMatrix, euler, intmat
+from .findim import FinDimAlgebra, MultMorphism, k0_map, ring_of
 from .frozen import Frozen
 
 
@@ -76,22 +76,21 @@ class NCCWStage(Frozen):
 
 
 class NCCWComplex(Frozen):
-    """A validated tower with derived cell counts and coboundaries.
+    """A validated tower and its checked integer cochain complex.
 
     Instances are built through :func:`build`, compare by identity and
-    have frozen fields; all derived data is computed once.  ``cochain``
-    is the checked integer cochain complex of the coboundaries.
+    have frozen fields; ``cochain.differentials`` are the coboundaries.
+    ``cell_counts`` repeats ``cochain.ranks``: the benchmark's layer
+    tracer counts cells by reading it from what ``build`` returns.
     """
 
     stages: tuple[NCCWStage, ...]
     cochain: CochainComplex
-    coboundaries: tuple[IntMatrix, ...]
     cell_counts: tuple[int, ...]
 
     def __init__(self, stages: tuple[NCCWStage, ...], cochain: CochainComplex):
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "cochain", cochain)
-        object.__setattr__(self, "coboundaries", cochain.differentials)
         object.__setattr__(self, "cell_counts", cochain.ranks)
 
     @property
@@ -197,9 +196,7 @@ def cochain_complex(x: NCCWComplex, theory: str) -> CochainComplex:
     Integer coefficients for K, rational for HP; the matrices are the
     same integer coboundaries either way, checked once by ``build``.
     """
-    if theory not in (THEORY_K, THEORY_HP):
-        raise ValueError(f"unknown theory {theory!r}")
-    return x.cochain.with_ring(RING_Z if theory == THEORY_K else RING_Q)
+    return x.cochain.with_ring(ring_of(theory))
 
 
 def skeleton(x: NCCWComplex, p: int) -> NCCWComplex:

@@ -56,7 +56,7 @@ import sys
 from . import cellmodel, constructions, fibration, ssengine
 from .errors import NCCWError, OutOfRange, ShapeMismatch
 from .exacthom import FGAbelianGroup, IntMatrix, intmat
-from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism
+from .findim import THEORY_HP, THEORY_K, FinDimAlgebra, MultMorphism, ring_of
 from .ssengine import ASSEMBLY_UP_TO_EXTENSION, PARITY_EVEN, Assembly, Page
 
 EXIT_OK = 0
@@ -264,10 +264,6 @@ def parse_group(text: str) -> FGAbelianGroup:
 # payloads and rendering
 
 
-def _symbol(theory: str) -> str:
-    return "Q" if theory == THEORY_HP else "Z"
-
-
 def assembly_payload(a: Assembly, symbol: str) -> dict:
     return {
         "group": a.group.render(symbol),
@@ -304,7 +300,7 @@ def page_payload(page: Page, symbol: str) -> dict:
 
 
 def result_payload(name, theory, even, odd, pages=None) -> dict:
-    sym = _symbol(theory)
+    sym = ring_of(theory)
     out = {
         "name": name,
         "theory": theory,
@@ -363,7 +359,7 @@ def complex_payload(name: str, x: cellmodel.NCCWComplex) -> dict:
             {
                 "dim": k,
                 "F": list(x.stages[k].cell_algebra.sizes),
-                "delta": x.coboundaries[k - 1].tolist(),
+                "delta": x.cochain.differentials[k - 1].tolist(),
             }
         )
     return {"name": name, "stages": stages}
@@ -408,7 +404,7 @@ def cmd_compute(args) -> int:
 def _load_morphism(args, src_model, theory):
     obj = _load_json(args.map)
     src_cochain = cellmodel.cochain_complex(src_model, theory)
-    if getattr(args, "total", None):
+    if args.total:
         _, dst_model = load_complex(args.total)
     else:
         obj = _expect_object(obj, "morphism file")
@@ -423,7 +419,7 @@ def cmd_transform(args) -> int:
     name, built = load_complex(args.path)
     theory = _theory(args)
     if args.op == "suspend":
-        print(json.dumps(suspended_payload(name, built), sort_keys=True, indent=2))
+        emit(suspended_payload(name, built), True)
         return EXIT_OK
     if args.op == "cone":
         # the cone is the mapping cone of the identity, which is acyclic
@@ -441,11 +437,10 @@ def cmd_transform(args) -> int:
         even, odd = ssengine.compute_theories(model, theory)
         emit(result_payload(f"cylinder({name})", theory, even, odd), args.json)
         return EXIT_OK
-    if args.op == "mapcone":
-        even, odd = constructions.relative_assemblies(morphism, theory)
-        emit(result_payload(f"mapcone({name})", theory, even, odd), args.json)
-        return EXIT_OK
-    raise FileFormatError(f"unknown --op {args.op}")
+    # argparse's choices leave "mapcone" as the only other operation
+    even, odd = constructions.relative_assemblies(morphism, theory)
+    emit(result_payload(f"mapcone({name})", theory, even, odd), args.json)
+    return EXIT_OK
 
 
 def cmd_fibration(args) -> int:
@@ -469,7 +464,7 @@ def cmd_fibration(args) -> int:
     except ValueError as exc:
         raise NCCWError(str(exc)) from exc
     page2 = fibration.leray_serre_e2(data)
-    even, odd = fibration.compute_total(data, page2)
+    even, odd = fibration.compute_total(page2)
     payload = result_payload(f"fibration({base_name})", theory, even, odd, pages=[page2])
     emit(payload, args.json, args.paper_indexing)
     return EXIT_OK

@@ -910,11 +910,10 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
             for j2 in gone:
                 cols[s - 1][j2].discard(j)
         if s + 1 < len(rows):
+            # no row of d_{s+1} empties: its only entry in column i would
+            # make d_{s+1} d_s = 0 force row i of d_s, the pivot row, to zero
             for r in cols[s + 1].pop(i):
-                row = rows[s + 1][r]
-                del row[i]
-                if not row:
-                    del rows[s + 1][r]
+                del rows[s + 1][r][i]
         alive[s].discard(j)
         alive[s + 1].discard(i)
 

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from .errors import NotSimple, UnresolvedExtension
 from .exacthom import (
-    RING_Q,
-    RING_Z,
     CochainComplex,
     FGAbelianGroup,
     all_cohomology,
     cohomology_with_coefficients,
 )
-from .findim import THEORY_HP, THEORY_K
+from .findim import THEORY_HP, ring_of
 from .constructions import CellularMorphism, relative_assemblies
 from .frozen import Value
 from .ssengine import (
@@ -55,9 +53,7 @@ class SerreFibrationData(Value):
         theory: str,
         simple: bool = True,
     ):
-        if theory not in (THEORY_K, THEORY_HP):
-            raise ValueError(f"unknown theory {theory!r}")
-        expected_ring = RING_Z if theory == THEORY_K else RING_Q
+        expected_ring = ring_of(theory)
         if base.ring != expected_ring:
             raise ValueError(f"theory {theory} needs a base over {expected_ring}")
         if theory == THEORY_HP and (g_even.torsion or g_odd.torsion):
@@ -101,18 +97,13 @@ def leray_serre_e2(fib: SerreFibrationData) -> Page:
     plain = all_cohomology(fib.base) if rows else []
     for parity, group in rows:
         for p, g in enumerate(cohomology_with_coefficients(fib.base, group, plain)):
-            if not g.is_trivial:
-                entries[(p, parity)] = g
+            entries[(p, parity)] = g
     return Page(2, k, fib.theory, entries, {})
 
 
-def compute_total(
-    fib: SerreFibrationData, page2: Page | None = None
-) -> tuple[Assembly, Assembly]:
-    """Feed the coefficient page into the engine and assemble both total
-    parities (higher differentials default to zero).  ``page2`` is the
-    already built ``leray_serre_e2(fib)``, when the caller has it."""
-    if page2 is None:
-        page2 = leray_serre_e2(fib)
+def compute_total(page2: Page) -> tuple[Assembly, Assembly]:
+    """Run a second page, such as ``leray_serre_e2(fib)``, through the
+    engine and assemble both total parities (higher differentials default
+    to zero)."""
     ss = stabilize(from_e2_page(page2))
     return assemble(ss, "even"), assemble(ss, "odd")

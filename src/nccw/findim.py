@@ -9,11 +9,19 @@ That is all the even/odd theory functors can see.
 from __future__ import annotations
 
 from .errors import ShapeMismatch, SizeOverflow
-from .exacthom import FGAbelianGroup, IntMatrix, identity, intmat, zeros
+from .exacthom import RING_Q, RING_Z, FGAbelianGroup, IntMatrix, identity, intmat, zeros
 from .frozen import Frozen, Value
 
 THEORY_K = "K"
 THEORY_HP = "HP"
+
+
+def ring_of(theory: str) -> str:
+    """The coefficient ring of a theory, Z for K and Q for HP; the one
+    table from theories to rings and the one refusal of other theories."""
+    if theory not in (THEORY_K, THEORY_HP):
+        raise ValueError(f"unknown theory {theory!r}")
+    return RING_Z if theory == THEORY_K else RING_Q
 
 
 class FinDimAlgebra(Value):
@@ -82,12 +90,9 @@ def validate_morphism(f: MultMorphism) -> bool:
     """Check the block-size inequality row by row; returns unitality.
 
     Raises ``SizeOverflow`` naming the first offending target block, or
-    ``ShapeMismatch`` when the matrix does not match the block counts.
-    Entries must be nonnegative (a multiplicity counts embeddings).
+    ``ShapeMismatch`` for a negative entry (a multiplicity counts
+    embeddings); the constructor has already fixed the matrix shape.
     """
-    t, s = f.dst.block_count, f.src.block_count
-    if f.mult.shape != (t, s):
-        raise ShapeMismatch(f"multiplicity matrix is {f.mult.shape}, expected {(t, s)}")
     if any(x < 0 for x in f.mult.flat):
         raise ShapeMismatch("multiplicities must be nonnegative")
     for j, row in enumerate(f.mult.rows):
@@ -111,8 +116,7 @@ def theory_groups(a: FinDimAlgebra, theory: str) -> tuple[FGAbelianGroup, FGAbel
     nothing in odd degree; for HP the free part is read over the
     rationals downstream.
     """
-    if theory not in (THEORY_K, THEORY_HP):
-        raise ValueError(f"unknown theory {theory!r}")
+    ring_of(theory)  # refuses an unknown theory
     return FGAbelianGroup.free(a.block_count), FGAbelianGroup.trivial()
 
 

@@ -25,8 +25,6 @@ from types import MappingProxyType
 
 from .errors import NotACocycleMap, OutOfRange, ShapeMismatch
 from .exacthom import (
-    RING_Q,
-    RING_Z,
     CochainComplex,
     FGAbelianGroup,
     IntMatrix,
@@ -35,7 +33,7 @@ from .exacthom import (
     presented_subquotient,
     relation_matrix,
 )
-from .findim import THEORY_HP, THEORY_K
+from .findim import THEORY_HP, ring_of
 from .frozen import Frozen, Value
 
 PARITY_EVEN = 0
@@ -53,9 +51,10 @@ def generator_orders(group: FGAbelianGroup) -> list[int]:
 class Page(Frozen):
     """One page of the sequence: entries and differentials out of them.
 
-    A first page is made only by :func:`from_cellular`: it keeps the
-    checked complex it came from as ``source`` and is turned through that
-    complex, so a first page without one is refused."""
+    Only the page drops trivial entries and zero differentials.  A first
+    page is made only by :func:`from_cellular`: it keeps the checked
+    complex it came from as ``source`` and is turned through it, so a
+    first page without one is refused."""
 
     r: int
     k: int
@@ -147,19 +146,12 @@ def from_cellular(complex_: CochainComplex, theory: str) -> SpectralSequence:
     Even rows carry one free generator per cell with the coboundary as
     differential; odd rows vanish because cells have no odd theory.
     """
-    if theory not in (THEORY_K, THEORY_HP):
-        raise ValueError(f"unknown theory {theory!r}")
-    expected_ring = RING_Z if theory == THEORY_K else RING_Q
+    expected_ring = ring_of(theory)
     if complex_.ring != expected_ring:
         raise ValueError(f"theory {theory} needs a complex over {expected_ring}")
     k = complex_.top_degree
-    entries = {}
-    diffs = {}
-    for p in range(k + 1):
-        if complex_.rank(p) > 0:
-            entries[(p, PARITY_EVEN)] = FGAbelianGroup.free(complex_.rank(p))
-    for p in range(k):
-        diffs[(p, PARITY_EVEN)] = complex_.differential(p)
+    entries = {(p, PARITY_EVEN): FGAbelianGroup.free(n) for p, n in enumerate(complex_.ranks)}
+    diffs = {(p, PARITY_EVEN): d for p, d in enumerate(complex_.differentials)}
     return SpectralSequence(theory, k, (Page(1, k, theory, entries, diffs, complex_),))
 
 

@@ -43,7 +43,7 @@ class TestBuild:
     def test_circle(self):
         x = circle_model()
         assert x.cell_counts == (1, 1)
-        assert x.coboundaries[0].tolist() == [[0]]
+        assert x.cochain.differentials[0].tolist() == [[0]]
 
     def test_dd_violation(self):
         stages = [
@@ -124,6 +124,10 @@ class TestCochainComplex:
     def test_hp_ring(self):
         assert cochain_complex(circle_model(), "HP").ring == "Q"
 
+    def test_unknown_theory(self):
+        with pytest.raises(ValueError, match="unknown theory 'X'"):
+            cochain_complex(circle_model(), "X")
+
 
 class TestFromClassicalCW:
     def test_rp2_against_homology_oracle(self):
@@ -131,13 +135,13 @@ class TestFromClassicalCW:
         h = snf_homology_oracle([1, 1, 1], boundaries)
         assert h == [FGAbelianGroup.free(1), FGAbelianGroup.cyclic(2), FGAbelianGroup.trivial()]
         x = from_classical_cw([1, 1, 1], boundaries)
-        assert x.coboundaries[0].tolist() == [[0]]
-        assert x.coboundaries[1].tolist() == [[2]]
+        assert x.cochain.differentials[0].tolist() == [[0]]
+        assert x.cochain.differentials[1].tolist() == [[2]]
 
     def test_sphere(self):
         x = sphere_cw()
         assert x.cell_counts == (1, 0, 1)
-        assert all(d.is_zero for d in x.coboundaries)
+        assert all(d.is_zero for d in x.cochain.differentials)
 
     def test_torus_against_homology_oracle(self):
         boundaries = [intmat([[0, 0]]), intmat([[0], [0]])]
@@ -181,7 +185,7 @@ class TestSkeleton:
     def test_circle_of_rp2(self):
         sk = skeleton(projective_plane_cw(), 1)
         assert sk.cell_counts == (1, 1)
-        assert sk.coboundaries[0].tolist() == [[0]]
+        assert sk.cochain.differentials[0].tolist() == [[0]]
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -238,6 +242,14 @@ def test_endpoint_morphisms_must_start_at_stage_zero():
         build([NCCWStage(0, a0), NCCWStage(1, f1, ep)])
 
 
+def test_endpoint_morphisms_must_land_in_the_stage_one_algebra():
+    a0 = FinDimAlgebra([1, 1])
+    f3 = FinDimAlgebra([3])
+    ep = EndpointPair(MultMorphism(a0, f3, [[1, 1]]), MultMorphism(a0, f3, [[1, 1]]))
+    with pytest.raises(ShapeMismatch, match="must land in the stage-1 cell algebra"):
+        build([NCCWStage(0, a0), NCCWStage(1, FinDimAlgebra([2]), ep)])
+
+
 class TestDdCheckedOnce:
     """d after d = 0 is checked where a complex is first built; the ring
     change and the first page reuse it, and only the reduced complex is
@@ -276,5 +288,5 @@ class TestDdCheckedOnce:
         model = projective_plane_cw()
         monkeypatch.setattr(nccw.exacthom, "product_is_zero", None)
         hp = cochain_complex(model, "HP")
-        assert hp.ring == "Q" and hp.differentials == model.coboundaries
+        assert hp.ring == "Q" and hp.differentials == model.cochain.differentials
         assert hp.with_ring("Z") == model.cochain

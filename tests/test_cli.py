@@ -481,6 +481,12 @@ class TestMaxDim:
         assert code == 1
         assert "NCCW_MAX_DIM" in err
 
+    def test_non_integer_cap_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("NCCW_MAX_DIM", "abc")
+        code, out, err = run(capsys, "compute", fix("rp2.json"))
+        assert code == 1 and out == ""
+        assert err == "error: NCCW_MAX_DIM='abc' is not an integer\n"
+
     def test_default_allows_surfaces(self, capsys, monkeypatch):
         monkeypatch.delenv("NCCW_MAX_DIM", raising=False)
         code, _, _ = run(capsys, "compute", fix("rp2.json"))
@@ -540,7 +546,7 @@ class TestComplexSerialization:
         reparsed_name, reparsed = parse_complex(payload, "y")
         assert reparsed_name == original_name
         assert reparsed.cell_counts == original.cell_counts
-        assert reparsed.coboundaries == original.coboundaries
+        assert reparsed.cochain.differentials == original.cochain.differentials
 
 
 class TestGroupGrammar:

@@ -10,7 +10,7 @@ from nccw.constructions import (
     relative_assemblies,
     suspend,
 )
-from nccw.errors import InvalidMorphism
+from nccw.errors import InvalidMorphism, ShapeMismatch
 from nccw.exacthom import (
     CochainComplex,
     FGAbelianGroup,
@@ -56,6 +56,13 @@ class TestCellularMorphism:
     def test_ring_mismatch(self):
         with pytest.raises(InvalidMorphism):
             CellularMorphism(ZERO, CochainComplex("Q", [1], []), [])
+
+    def test_degree_maps_must_fit_the_complexes(self):
+        circ = cochain_complex(circle_model(), "K")
+        with pytest.raises(ShapeMismatch, match="more degree maps than degrees"):
+            CellularMorphism(circ, circ, [identity(1)] * 3)
+        with pytest.raises(ShapeMismatch, match=r"shape \(1, 2\), expected \(1, 1\)"):
+            CellularMorphism(circ, circ, [intmat([[1, 0]])])
 
 
 class TestSuspend:

@@ -161,6 +161,10 @@ class TestDeterminant:
         assert determinant(eh.identity(0)) == 1
         assert determinant(intmat([[1, 2], [2, 4]])) == 0
 
+    def test_non_square_refused(self):
+        with pytest.raises(ShapeMismatch, match="square"):
+            determinant(intmat([[1, 2]]))
+
     def test_multiplicative(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -202,6 +206,14 @@ class TestCochainComplex:
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             CochainComplex("Z", [1, 1], [intmat([[1, 1]])])
+        with pytest.raises(ShapeMismatch, match="one differential per adjacent degree pair"):
+            CochainComplex("Z", [1, 1], [])
+
+    def test_ring_and_ranks_validated(self):
+        with pytest.raises(ValueError, match="unknown ring 'R'"):
+            CochainComplex("R", [1], [])
+        with pytest.raises(ValueError, match="ranks must be a nonempty list"):
+            CochainComplex("Z", [], [])
 
     def test_dd_zero_enforced(self):
         with pytest.raises(ComplexViolation) as err:
@@ -336,3 +348,20 @@ class TestPresentedSubquotient:
         # Z mod the image of multiplication by 6
         got = presented_subquotient([0], None, [], intmat([[6]]))
         assert got == FGAbelianGroup.cyclic(6)
+
+    @pytest.mark.parametrize(
+        "out_map, out_orders, in_map, message",
+        [
+            ([[1, 1]], [0], None, "outgoing map has wrong number of columns"),
+            (None, [], [[1], [1]], "incoming map has wrong number of rows"),
+            # the identity of Z has no kernel for the image of 1 to lie in
+            ([[1]], [0], [[1]], "image does not lie inside the kernel$"),
+            # doubling into Z/4 has kernel 2Z, which does not hold 1
+            ([[2]], [4], [[1]], "image does not lie inside the kernel lattice"),
+        ],
+    )
+    def test_inconsistent_maps_refused(self, out_map, out_orders, in_map, message):
+        out_map = None if out_map is None else intmat(out_map)
+        in_map = None if in_map is None else intmat(in_map)
+        with pytest.raises(ShapeMismatch, match=message):
+            presented_subquotient([0], out_map, out_orders, in_map)

@@ -107,6 +107,10 @@ class TestSerreFibrationData:
         with pytest.raises(ValueError):
             SerreFibrationData(circle_cochain(), Z, Z, "HP")
 
+    def test_unknown_theory(self):
+        with pytest.raises(ValueError, match="unknown theory 'X'"):
+            SerreFibrationData(circle_cochain(), Z, Z, "X")
+
 
 class TestLeraySerreE2:
     def test_circle_with_free_coefficients(self):
@@ -159,7 +163,7 @@ class TestLeraySerreE2:
 class TestComputeTotal:
     def test_torus_cross_check(self):
         data = SerreFibrationData(circle_cochain(), Z, Z, "K")
-        even, odd = compute_total(data)
+        even, odd = compute_total(leray_serre_e2(data))
         direct_even, direct_odd = compute_theories(cochain_complex(torus_cw(), "K"), "K")
         assert even.group == direct_even.group == FGAbelianGroup.free(2)
         assert odd.group == direct_odd.group == FGAbelianGroup.free(2)
@@ -167,13 +171,13 @@ class TestComputeTotal:
 
     def test_point_base(self):
         data = SerreFibrationData(POINT, FGAbelianGroup.free(2), FGAbelianGroup.trivial(), "K")
-        even, odd = compute_total(data)
+        even, odd = compute_total(leray_serre_e2(data))
         assert even.group == FGAbelianGroup.free(2) and odd.group.is_trivial
 
     def test_dimension_drop_base(self):
         base = cochain_complex(dimension_drop_model(2), "K")
         data = SerreFibrationData(base, Z, FGAbelianGroup.trivial(), "K")
-        even, odd = compute_total(data)
+        even, odd = compute_total(leray_serre_e2(data))
         assert even.group == Z
         assert odd.group == FGAbelianGroup.cyclic(2)
 
@@ -186,7 +190,7 @@ class TestComputeTotal:
             fiber_even = FGAbelianGroup.free(rng.randint(0, 2))
             fiber_odd = FGAbelianGroup.free(rng.randint(0, 2))
             data = SerreFibrationData(base, fiber_even, fiber_odd, "K")
-            even, odd = compute_total(data)
+            even, odd = compute_total(leray_serre_e2(data))
             be, bo = parity_sums(base)
             want_even_rank = (
                 be.free_rank * fiber_even.free_rank + bo.free_rank * fiber_odd.free_rank
@@ -233,14 +237,15 @@ class TestSecondPageBuiltOnce:
         import nccw.fibration
 
         data = SerreFibrationData(circle_cochain(), Z, FGAbelianGroup.cyclic(2), "K")
-        expected = compute_total(data)
         page2 = leray_serre_e2(data)
+        expected = compute_total(page2)
 
         def refuse(_fib):
             raise AssertionError("second page built again")
 
         monkeypatch.setattr(nccw.fibration, "leray_serre_e2", refuse)
-        assert compute_total(data, page2) == expected
+        assert compute_total(page2) == expected
+        assert expected[0].group == expected[1].group == FGAbelianGroup(1, (2,))
 
     def test_cli_builds_second_page_once(self, monkeypatch, capsys, tmp_path):
         import nccw.fibration

@@ -67,6 +67,8 @@ class TestFromCellular:
             from_cellular(i2_complex(), "HP")
         with pytest.raises(ValueError):
             from_cellular(CochainComplex("Q", [1], []), "K")
+        with pytest.raises(ValueError, match="unknown theory 'X'"):
+            from_cellular(i2_complex(), "X")
 
 
 class TestTurnPage:
@@ -307,7 +309,7 @@ class TestAssemble:
         for _ in range(40):
             x = random_stage1_complex(rng)
             even, odd = compute_theories(cochain_complex(x, "K"), "K")
-            ker, coker = six_term_oracle(x.coboundaries[0])
+            ker, coker = six_term_oracle(x.cochain.differentials[0])
             assert (even.group, even.note) == (ker, "exact")
             assert (odd.group, odd.note) == (coker, "exact")
 
