@@ -33,8 +33,7 @@ def dimension_drop(p):
 
 for p in (2, 3, 5, 12):
     model = dimension_drop(p)
-    attaching = model.stages[1].attaching
-    delta = boundary_from_endpoints(attaching.phi0, attaching.phi1)
+    delta = boundary_from_endpoints(model.stages[1].attaching)
     print(f"I_{p}: coboundary {delta.tolist()}")
     even, odd = compute_theories(cochain_complex(model, "K"), "K")
     print(f"  K  even: {even.group}   odd: {odd.group}")

@@ -38,7 +38,7 @@ dump(ss.pages[-1], ss.k)
 ss = turn_page(ss)
 dump(ss.pages[-1], ss.k)
 print(f"  stable from page {ss.stabilized_at}")
-even, odd = assemble(ss, "even"), assemble(ss, "odd")
+even, odd = assemble(ss)
 flag = " up to extension" if even.note != ASSEMBLY_EXACT else ""
 print(f"  even: {even.group}{flag}, odd: {odd.group}\n")
 
@@ -48,11 +48,12 @@ print(f"  even: {even.group}{flag}, odd: {odd.group}\n")
 print("== a genuine d^3 override")
 sparse = CochainComplex("Z", [1, 0, 0, 1], [zeros(0, 1), zeros(0, 0), zeros(1, 0)])
 ss = from_cellular(sparse, "K")
-print("  default: even", assemble(ss, "even").group, "/ odd", assemble(ss, "odd").group)
+even, odd = assemble(ss)
+print("  default: even", even.group, "/ odd", odd.group)
 ss = turn_page(turn_page(ss))
 ss = set_higher_differential(ss, 3, 0, 0, intmat([[5]]))
 dump(ss.pages[-1], ss.k)
 stable = e_infinity(ss)
 dump(stable, ss.k)
-print("  with d^3 = [[5]]: even", assemble(ss, "even").group,
-      "/ odd", assemble(ss, "odd").group)
+even, odd = assemble(ss)
+print("  with d^3 = [[5]]: even", even.group, "/ odd", odd.group)

@@ -101,17 +101,17 @@ class NCCWComplex(Frozen):
         return f"NCCWComplex(cell_counts={list(self.cell_counts)})"
 
 
-def boundary_from_endpoints(phi0: MultMorphism, phi1: MultMorphism) -> IntMatrix:
+def boundary_from_endpoints(pair: EndpointPair) -> IntMatrix:
     """Coboundary induced by a stage-1 endpoint pair.
 
     The stage-1 extension has the suspension of the cell algebra as its
     ideal, and its connecting homomorphism on even theory is the
     difference of the two endpoint maps; that difference is the cellular
-    coboundary.  Shape: (cells of F, blocks of the stage-0 algebra).
+    coboundary.  Shape: (cells of F, blocks of the stage-0 algebra).  The
+    pair's constructor has already checked that both maps share domain
+    and codomain.
     """
-    if phi0.src != phi1.src or phi0.dst != phi1.dst:
-        raise ShapeMismatch("endpoint morphisms must share domain and codomain")
-    return k0_map(phi0) - k0_map(phi1)
+    return k0_map(pair.phi0) - k0_map(pair.phi1)
 
 
 def build(stages) -> NCCWComplex:
@@ -143,7 +143,7 @@ def build(stages) -> NCCWComplex:
                 raise ShapeMismatch("endpoint morphisms must start at the stage-0 algebra")
             if att.phi0.dst != stages[1].cell_algebra:
                 raise ShapeMismatch("endpoint morphisms must land in the stage-1 cell algebra")
-            delta = boundary_from_endpoints(att.phi0, att.phi1)
+            delta = boundary_from_endpoints(att)
         else:
             delta = att.delta
         if delta.shape != (counts[k], counts[k - 1]):

@@ -39,7 +39,7 @@ File formats (JSON, integers only, no floats anywhere):
 
 Group strings use the grammar ``0 | Z^r | Z/d | term (+) term ...`` (a
 bare ``+`` is accepted as separator on input, and ``Q`` in place of ``Z``
-for rational groups).
+for rational groups); ``r`` and ``d`` are ASCII decimal digits.
 
 The environment variable ``NCCW_MAX_DIM`` (default 8) caps the accepted
 tower height.
@@ -106,20 +106,12 @@ def _parse_sizes(obj, where: str, minimum: int) -> list[int]:
 
 
 def _parse_matrix(obj, shape: tuple[int, int], where: str) -> IntMatrix:
-    if not isinstance(obj, list):
+    """A matrix of the given shape; ``[]`` also stands for ``n`` empty rows.
+    ``intmat`` reports every shape and entry error."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise FileFormatError(f"{where}: expected a matrix (list of rows)")
-    rows, cols = shape
-    if rows == 0:
-        if obj:
-            raise FileFormatError(f"{where}: expected an empty matrix for shape {shape}")
-        return intmat([], shape=shape)
-    if cols == 0 and obj == []:
-        return intmat([[] for _ in range(rows)], shape=shape)
-    if len(obj) != rows:
-        raise FileFormatError(f"{where}: expected {rows} rows, found {len(obj)}")
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FileFormatError(f"{where}: row {i} must be a list of {cols} integers")
+    if obj == [] and shape[1] == 0:
+        obj = [[] for _ in range(shape[0])]
     try:
         return intmat(obj, shape=shape)
     except ShapeMismatch as exc:
@@ -143,6 +135,11 @@ def parse_complex(obj, default_name: str) -> tuple[str, cellmodel.NCCWComplex]:
     name = obj.get("name", default_name)
     if not isinstance(name, str):
         raise FileFormatError("'name' must be a string")
+    if "name" in obj:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FileFormatError("'name' is not printable: it holds a lone surrogate") from None
     if "classical_cw" in obj:
         cw = _expect_object(obj["classical_cw"], "classical_cw")
         counts = _parse_sizes(cw.get("counts"), "classical_cw.counts", 0)
@@ -228,6 +225,17 @@ def parse_morphism_maps(obj, src, dst) -> constructions.CellularMorphism:
     return constructions.CellularMorphism(src, dst, mats)
 
 
+def _group_number(token: str) -> int:
+    """The ASCII decimal digits after a term's two-character prefix."""
+    digits = token[2:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise FileFormatError(f"bad group term {token!r}")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise FileFormatError(f"bad group term {token!r}") from None
+
+
 def parse_group(text: str) -> FGAbelianGroup:
     """Inverse of :meth:`FGAbelianGroup.render`; also accepts a bare ``+``
     separator and the ``Q`` symbol."""
@@ -240,18 +248,12 @@ def parse_group(text: str) -> FGAbelianGroup:
         if token in ("Z", "Q"):
             free += 1
         elif token.startswith(("Z^", "Q^")):
-            try:
-                r = int(token[2:])
-            except ValueError:
-                raise FileFormatError(f"bad group term {token!r}") from None
+            r = _group_number(token)
             if r < 1:
                 raise FileFormatError(f"bad free rank in {token!r}")
             free += r
         elif token.startswith("Z/"):
-            try:
-                d = int(token[2:])
-            except ValueError:
-                raise FileFormatError(f"bad group term {token!r}") from None
+            d = _group_number(token)
             if d < 2:
                 raise FileFormatError(f"bad torsion order in {token!r}")
             orders.append(d)
@@ -310,18 +312,6 @@ def result_payload(name, theory, even, odd, pages=None) -> dict:
     if pages is not None:
         out["pages"] = [page_payload(pg, sym) for pg in pages]
     return out
-
-
-def parse_result(text: str) -> dict:
-    """Re-parse an emitted JSON result; group strings become groups again."""
-    obj = json.loads(text)
-    parsed = dict(obj)
-    for key in ("even", "odd"):
-        block = dict(obj[key])
-        block["group"] = parse_group(block["group"])
-        block["pieces"] = [parse_group(s) for s in block["pieces"]]
-        parsed[key] = block
-    return parsed
 
 
 def emit(payload: dict, as_json: bool, paper_indexing: bool = False) -> None:
@@ -393,9 +383,9 @@ def cmd_compute(args) -> int:
     name, built = load_complex(args.path)
     theory = _theory(args)
     cochain = cellmodel.cochain_complex(built, theory)
+    # stabilized here only because --pages prints every page
     ss = ssengine.stabilize(ssengine.from_cellular(cochain, theory))
-    even = ssengine.assemble(ss, "even")
-    odd = ssengine.assemble(ss, "odd")
+    even, odd = ssengine.assemble(ss)
     pages = ss.pages if args.pages else None
     emit(result_payload(name, theory, even, odd, pages), args.json, args.paper_indexing)
     return EXIT_OK

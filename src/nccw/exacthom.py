@@ -968,23 +968,22 @@ MAX_LISTED_SUMMANDS = 10**6
 
 
 def cohomology_with_coefficients(
-    c: CochainComplex, group: FGAbelianGroup, plain: list[FGAbelianGroup] | None = None
+    c: CochainComplex, group: FGAbelianGroup, plain: list[FGAbelianGroup]
 ) -> list[FGAbelianGroup]:
     """Cohomology of ``c`` with coefficients in ``group``, degree by degree.
 
     The universal coefficient theorem for a cochain complex of free
     modules (Hatcher, *Algebraic Topology*, Thm 3A.3, with the degrees
     reversed) gives H^p(C; G) = H^p(C) (x) G (+) Tor(H^{p+1}(C), G), so
-    everything follows from ``all_cohomology(c)`` by gcd arithmetic:
-    Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  A caller
-    that already holds ``all_cohomology(c)`` passes it as ``plain``.  Over
-    Q the group must be torsion-free.  Free summands are counted, cyclic
-    ones listed; a degree that would list more than
+    everything follows from ``plain``, the caller's ``all_cohomology(c)``,
+    by gcd arithmetic: Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) =
+    Z/gcd(a, b).  Over Q the group must be torsion-free.  Free summands
+    are counted, cyclic ones listed; a degree that would list more than
     ``MAX_LISTED_SUMMANDS`` of them raises ``OutOfRange``.
     """
     if c.ring == RING_Q and group.torsion:
         raise ValueError("rational coefficient cohomology needs a torsion-free group")
-    plain = (all_cohomology(c) if plain is None else plain) + [FGAbelianGroup.trivial()]
+    plain = [*plain, FGAbelianGroup.trivial()]
     out = []
     for p, (h, nxt) in enumerate(zip(plain, plain[1:])):
         listed = len(h.torsion) * group.free_rank + len(group.torsion) * (

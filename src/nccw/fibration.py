@@ -32,7 +32,6 @@ from .ssengine import (
     Page,
     assemble,
     from_e2_page,
-    stabilize,
 )
 
 
@@ -102,8 +101,7 @@ def leray_serre_e2(fib: SerreFibrationData) -> Page:
 
 
 def compute_total(page2: Page) -> tuple[Assembly, Assembly]:
-    """Run a second page, such as ``leray_serre_e2(fib)``, through the
-    engine and assemble both total parities (higher differentials default
-    to zero)."""
-    ss = stabilize(from_e2_page(page2))
-    return assemble(ss, "even"), assemble(ss, "odd")
+    """The (even, odd) totals of a second page, such as
+    ``leray_serre_e2(fib)``, from one assembly of its sequence (higher
+    differentials default to zero)."""
+    return assemble(from_e2_page(page2))

@@ -86,8 +86,8 @@ class MultMorphism(Frozen):
         return cls(src, dst, zeros(dst.block_count, src.block_count))
 
 
-def validate_morphism(f: MultMorphism) -> bool:
-    """Check the block-size inequality row by row; returns unitality.
+def validate_morphism(f: MultMorphism) -> None:
+    """Check the block-size inequality row by row.
 
     Raises ``SizeOverflow`` naming the first offending target block, or
     ``ShapeMismatch`` for a negative entry (a multiplicity counts
@@ -99,7 +99,6 @@ def validate_morphism(f: MultMorphism) -> bool:
         needed = sum(x * f.src.sizes[i] for i, x in row.items())
         if needed > f.dst.sizes[j]:
             raise SizeOverflow(j, needed, f.dst.sizes[j])
-    return f.unital
 
 
 def compose(g: MultMorphism, f: MultMorphism) -> MultMorphism:

@@ -91,9 +91,6 @@ class Page(Frozen):
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.entries.keys())
 
-    def same_entries(self, other: "Page") -> bool:
-        return dict(self.entries) == dict(other.entries)
-
 
 class SpectralSequence(Frozen):
     theory: str
@@ -260,30 +257,29 @@ def e_infinity(ss: SpectralSequence) -> Page:
     return stabilize(ss).pages[-1]
 
 
-def assemble(ss: SpectralSequence, parity: str) -> Assembly:
-    """Collect the stable entries of one total parity along the filtration.
+def assemble(ss: SpectralSequence) -> tuple[Assembly, Assembly]:
+    """The (even, odd) assemblies, both read from one stable page.
 
     At filtration degree ``p`` the row of total parity ``t`` is
-    ``q = t - p (mod 2)``; pieces are listed by increasing ``p``.  The
-    group is their direct sum, noted ``exact`` when the associated graded
-    forces it and ``up_to_extension`` otherwise.
+    ``q = t - p (mod 2)``; pieces are listed by increasing ``p``.  Each
+    group is the direct sum of its pieces, noted ``exact`` when the
+    associated graded forces it and ``up_to_extension`` otherwise.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    t = PARITY_EVEN if parity == "even" else PARITY_ODD
     stable = e_infinity(ss)
-    pieces = []
-    for p in range(ss.k + 1):
-        g = stable.entry(p, t - p)
-        if not g.is_trivial:
-            pieces.append(g)
-    forced = len(pieces) <= 1 or all(not g.torsion for g in pieces)
-    note = ASSEMBLY_EXACT if forced else ASSEMBLY_UP_TO_EXTENSION
-    return Assembly(parity, tuple(pieces), FGAbelianGroup.trivial().direct_sum(*pieces), note)
+    out = []
+    for t, parity in ((PARITY_EVEN, "even"), (PARITY_ODD, "odd")):
+        pieces = []
+        for p in range(ss.k + 1):
+            g = stable.entry(p, t - p)
+            if not g.is_trivial:
+                pieces.append(g)
+        forced = len(pieces) <= 1 or all(not g.torsion for g in pieces)
+        note = ASSEMBLY_EXACT if forced else ASSEMBLY_UP_TO_EXTENSION
+        group = FGAbelianGroup.trivial().direct_sum(*pieces)
+        out.append(Assembly(parity, tuple(pieces), group, note))
+    return tuple(out)
 
 
 def compute_theories(complex_: CochainComplex, theory: str) -> tuple[Assembly, Assembly]:
-    """End-to-end: cellular complex in, (even, odd) assemblies out.  The
-    pages are turned once; both parities read the same stable page."""
-    ss = stabilize(from_cellular(complex_, theory))
-    return assemble(ss, "even"), assemble(ss, "odd")
+    """End-to-end: cellular complex in, (even, odd) assemblies out."""
+    return assemble(from_cellular(complex_, theory))

@@ -410,12 +410,15 @@ def coefficient_expansion(c: CochainComplex, group: FGAbelianGroup) -> CochainCo
 def check_cli_contract(argv) -> int:
     """Run ``nccw.cli.main(argv)`` in process: the exit code must be 0, 1
     or 2, a failure must print exactly one ``error:`` line to stderr and a
-    success nothing, and no exception may leave ``main``.  Returns the
-    exit code."""
+    success nothing, and no exception may leave ``main``.  Everything
+    printed must be encodable as UTF-8, as a real stdout requires (the
+    captured text takes any string).  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
+    out.getvalue().encode("utf-8")
+    err.getvalue().encode("utf-8")
     if code:
         message = err.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)

@@ -80,19 +80,19 @@ class TestBoundaryFromEndpoints:
     def test_dimension_drop(self):
         a0, f1 = FinDimAlgebra([1, 1]), FinDimAlgebra([2])
         d = boundary_from_endpoints(
-            MultMorphism(a0, f1, [[2, 0]]), MultMorphism(a0, f1, [[0, 2]])
+            EndpointPair(MultMorphism(a0, f1, [[2, 0]]), MultMorphism(a0, f1, [[0, 2]]))
         )
         assert d.tolist() == [[2, -2]]
 
     def test_circle(self):
         a0 = FinDimAlgebra([1])
         f = MultMorphism(a0, a0, [[1]])
-        assert boundary_from_endpoints(f, f).tolist() == [[0]]
+        assert boundary_from_endpoints(EndpointPair(f, f)).tolist() == [[0]]
 
     def test_interval(self):
         a0, f1 = FinDimAlgebra([1, 1]), FinDimAlgebra([1])
         d = boundary_from_endpoints(
-            MultMorphism(a0, f1, [[1, 0]]), MultMorphism(a0, f1, [[0, 1]])
+            EndpointPair(MultMorphism(a0, f1, [[1, 0]]), MultMorphism(a0, f1, [[0, 1]]))
         )
         assert d.tolist() == [[1, -1]]
 
@@ -101,8 +101,8 @@ class TestBoundaryFromEndpoints:
         for _ in range(25):
             x = random_stage1_complex(rng)
             att = x.stages[1].attaching
-            fwd = boundary_from_endpoints(att.phi0, att.phi1)
-            bwd = boundary_from_endpoints(att.phi1, att.phi0)
+            fwd = boundary_from_endpoints(att)
+            bwd = boundary_from_endpoints(EndpointPair(att.phi1, att.phi0))
             assert fwd == -bwd
 
 

@@ -13,7 +13,6 @@ from nccw.cli import (
     main,
     parse_complex,
     parse_group,
-    parse_result,
 )
 from nccw.exacthom import MAX_LISTED_SUMMANDS, FGAbelianGroup
 
@@ -209,6 +208,33 @@ class TestFileFormatRefusals:
         path.write_text(json.dumps({"classical_cw": {"counts": counts, "boundaries": [[]]}}))
         assert check_cli_contract(["compute", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "counts, boundary",
+        [([1, 1], [[1], [1]]), ([1, 1], [[1, 2]]), ([1, 1], [[]]), ([0, 1], [[1]]),
+         ([2, 1], [[1], 1]), ([1, 1], [1])],
+        ids=["extra_row", "long_row", "short_row", "rows_for_zero_rows", "row_not_a_list",
+             "not_a_list_of_rows"],
+    )
+    def test_bad_matrix_shape(self, tmp_path, counts, boundary):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"classical_cw": {"counts": counts, "boundaries": [boundary]}}))
+        assert check_cli_contract(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["compute"], ["transform", "--op", "cone"],
+         ["transform", "--op", "cylinder", "--map", fix("point_to_circle.json")],
+         ["fibration", "--coeff-even", "Z", "--coeff-odd", "0", "--base"]],
+        ids=["validate", "compute", "cone", "cylinder", "fibration"],
+    )
+    def test_lone_surrogate_name(self, tmp_path, argv):
+        # a real stdout cannot print the name; the contract checks that
+        # everything printed encodes as UTF-8
+        path = tmp_path / "surrogate.json"
+        cw = {"counts": [1], "boundaries": []}
+        path.write_text(json.dumps({"name": "\ud800", "classical_cw": cw}))
+        assert check_cli_contract([*argv, str(path)]) == 2
+
 
 class TestCompute:
     def test_rp2_k(self, capsys):
@@ -239,10 +265,15 @@ class TestCompute:
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compute", fix("rp2.json"), "--json")
-        parsed = parse_result(out)
-        assert parsed["even"]["group"] == FGAbelianGroup(1, (2,))
-        assert parsed["even"]["pieces"] == [FGAbelianGroup.free(1), FGAbelianGroup.cyclic(2)]
-        assert parsed["odd"]["group"].is_trivial
+        assert code == 0
+        payload = json.loads(out)
+        even, odd = payload["even"], payload["odd"]
+        assert parse_group(even["group"]) == FGAbelianGroup(1, (2,))
+        assert [parse_group(s) for s in even["pieces"]] == [
+            FGAbelianGroup.free(1), FGAbelianGroup.cyclic(2)
+        ]
+        assert parse_group(odd["group"]).is_trivial
+        assert all(parse_group(g).render("Z") == g for g in [even["group"], *even["pieces"]])
 
     def test_pages_dump(self, capsys):
         code, out, _ = run(capsys, "compute", fix("i2.json"), "--pages", "--json")
@@ -566,7 +597,8 @@ class TestGroupGrammar:
             assert parse_group(g.render()) == g
 
     def test_rejects_garbage(self):
-        for bad in ["Z/x", "W", "Z^0", "Z/-2", "Z/1", ""]:
+        for bad in ["Z/x", "W", "Z^0", "Z/-2", "Z/1", "", "Z/1_0", "Q^1_0", "Z/\u0662",
+                    "Z^\u0663", "Z/\u00b2", "Z^ 3"]:
             with pytest.raises(FileFormatError):
                 parse_group(bad)
 

@@ -42,7 +42,7 @@ TOTAL = os.path.join(FIXTURES, "circle.json")
 bad_values = st.one_of(
     st.sampled_from([None, True, False, 0, -1, 1.0, 1.5, "1", [], {}, [[]], [True], [1.5],
                      [[1, 2], [3]], [[1], 1], [[True]], 2**70, -(2**70), [2**70], [[2**70]],
-                     [[-(2**70), 1]]]).map(copy.deepcopy),
+                     [[-(2**70), 1]], "\ud800"]).map(copy.deepcopy),
     st.integers(-3, 3),
 )
 

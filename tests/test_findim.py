@@ -36,7 +36,7 @@ class TestFinDimAlgebra:
 class TestValidateMorphism:
     def test_unital_embedding(self):
         f = MultMorphism(FinDimAlgebra([1, 1]), FinDimAlgebra([2]), [[2, 0]])
-        assert validate_morphism(f) is True
+        validate_morphism(f)
         assert f.unital
 
     def test_size_overflow(self):
@@ -47,7 +47,8 @@ class TestValidateMorphism:
     def test_identity(self):
         a = FinDimAlgebra([2])
         f = MultMorphism(a, a, [[1]])
-        assert validate_morphism(f) is True
+        validate_morphism(f)
+        assert f.unital
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -65,7 +66,9 @@ class TestValidateMorphism:
         rng = random.Random(2)
         for _ in range(20):
             a = FinDimAlgebra([rng.randint(1, 4) for _ in range(rng.randint(0, 4))])
-            assert validate_morphism(MultMorphism.identity_on(a)) is True
+            f = MultMorphism.identity_on(a)
+            validate_morphism(f)
+            assert f.unital
 
 
 class TestCompose:

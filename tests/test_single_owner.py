@@ -5,15 +5,25 @@ theory live in ``findim.ring_of``; the engine, the fibration module and
 the command line take rings from there.  A tower keeps its coboundaries
 only as the differentials of its cochain complex.  These are static
 checks of the sources, in the style of the record-equality scan.
+
+The benchmark reaches into the library by name: ``bench/layers.py``
+wraps the functions its ``LAYERS`` table lists, and ``bench/selftest.py``
+checks three bindings that other modules import.  Reading both files
+here makes the deletion of a pinned name fail in the quick test run.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
+
+import pytest
 
 import nccw
 from nccw.cellmodel import NCCWComplex, from_classical_cw
 
 SRC = os.path.dirname(nccw.__file__)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 
 
 def _source(name):
@@ -47,3 +57,40 @@ def test_tower_keeps_coboundaries_only_in_its_cochain_complex():
     x = from_classical_cw([1, 1], [[[0]]])
     assert not hasattr(x, "coboundaries")
     assert x.cochain.differentials[0].tolist() == [[0]]
+
+
+def _bench_layer_names():
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", os.path.join(BENCH, "layers.py")
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return sorted({(module, name) for _, module, names, _ in layers.LAYERS for name in names})
+
+
+def _selftest_bindings():
+    """The ``(module, name)`` pairs of the loop in
+    ``test_tracer_patches_every_binding_and_restores_it``, read from its
+    source: ``for ns, name in ((ssengine, "presented_subquotient"), ...)``."""
+    with open(os.path.join(BENCH, "selftest.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_tracer_patches"):
+            for loop in ast.walk(node):
+                if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Tuple):
+                    pairs += [(ns.id, name.value) for ns, name in (e.elts for e in loop.iter.elts)]
+    return pairs
+
+
+@pytest.mark.parametrize("module, name", _bench_layer_names() + _selftest_bindings())
+def test_benchmark_pinned_names_stay_callable(module, name):
+    assert callable(getattr(importlib.import_module(f"nccw.{module}"), name, None))
+
+
+def test_selftest_bindings_are_found():
+    assert sorted(_selftest_bindings()) == [
+        ("constructions", "compute_theories"),
+        ("fibration", "assemble"),
+        ("ssengine", "presented_subquotient"),
+    ]

@@ -88,7 +88,7 @@ class TestTurnPage:
                 ss = turn_page(ss)
             before = ss.pages[-1]
             after = turn_page(ss).pages[-1]
-            assert before.same_entries(after)
+            assert before.entries == after.entries
 
     def test_hp_pages_never_carry_torsion(self):
         rng = random.Random(43)
@@ -153,8 +153,7 @@ class TestSetHigherDifferential:
         ss = turn_page(turn_page(from_cellular(c, "K")))
         assert ss.pages[-1].r == 3
         ss = set_higher_differential(ss, 3, 0, 0, intmat([[5]]))
-        even = assemble(ss, "even")
-        odd = assemble(ss, "odd")
+        even, odd = assemble(ss)
         assert even.group.is_trivial
         assert odd.group == FGAbelianGroup.cyclic(5)
 
@@ -164,8 +163,9 @@ class TestSetHigherDifferential:
         c = CochainComplex("Q", [1, 0, 0, 1], [zeros(0, 1), zeros(0, 0), zeros(1, 0)])
         ss = turn_page(turn_page(from_cellular(c, "HP")))
         ss = set_higher_differential(ss, 3, 0, 0, intmat([[entry]]))
-        assert assemble(ss, "even").group == survivor
-        assert assemble(ss, "odd").group == survivor
+        even, odd = assemble(ss)
+        assert even.group == survivor
+        assert odd.group == survivor
 
     def test_ill_defined_torsion_map_rejected(self):
         # page 3 holds Z/2 at p = 1; a map sending its generator to a free
@@ -260,37 +260,41 @@ class TestEInfinity:
 class TestAssemble:
     def test_sphere(self):
         ss = from_cellular(cochain_complex(sphere_cw(), "K"), "K")
-        even = assemble(ss, "even")
-        odd = assemble(ss, "odd")
+        even, odd = assemble(ss)
         assert [g for g in even.pieces] == [Z, Z]
         assert even.group == FGAbelianGroup.free(2)
         assert even.note == "exact"
         assert odd.group.is_trivial
 
-    def test_unknown_parity_refused(self):
-        with pytest.raises(ValueError, match="parity"):
-            assemble(from_cellular(i2_complex(), "K"), "both")
+    def test_both_parities_from_one_stable_page(self, monkeypatch):
+        import nccw.ssengine
+
+        calls = []
+        real = nccw.ssengine.e_infinity
+        monkeypatch.setattr(nccw.ssengine, "e_infinity", lambda ss: calls.append(ss) or real(ss))
+        even, odd = assemble(from_cellular(i2_complex(), "K"))
+        assert (even.parity, odd.parity) == ("even", "odd")
+        assert len(calls) == 1
 
     def test_i2_single_pieces_resolve(self):
         ss = from_cellular(i2_complex(), "K")
-        even = assemble(ss, "even")
-        odd = assemble(ss, "odd")
+        even, odd = assemble(ss)
         assert (even.group, even.note) == (Z, "exact")
         assert (odd.group, odd.note) == (FGAbelianGroup.cyclic(2), "exact")
 
     def test_rp2_flags_extension(self):
         ss = from_cellular(cochain_complex(projective_plane_cw(), "K"), "K")
-        even = assemble(ss, "even")
+        even, odd = assemble(ss)
         assert list(even.pieces) == [Z, FGAbelianGroup.cyclic(2)]
         assert even.note == "up_to_extension"
         assert even.group == FGAbelianGroup(1, (2,))
-        assert assemble(ss, "odd").group.is_trivial
+        assert odd.group.is_trivial
 
     def test_two_torsion_pieces_flag_extension(self):
         # Z/2 by Z/2 could be Z/4 or Z/2 (+) Z/2: the sum is reported, flagged
         z2 = FGAbelianGroup.cyclic(2)
         ss = from_e2_page(Page(2, 2, "K", {(0, PARITY_EVEN): z2, (2, PARITY_EVEN): z2}, {}))
-        even = assemble(ss, "even")
+        even, _ = assemble(ss)
         assert even.pieces == (z2, z2)
         assert even.group == FGAbelianGroup(0, (2, 2))
         assert even.note == "up_to_extension"
@@ -326,7 +330,7 @@ class TestAssemble:
         for _ in range(15):
             c = random_cochain_complex(rng)
             ss = turn_page(from_cellular(c, "K"))
-            assert ss.pages[-1].same_entries(e_infinity(ss))
+            assert ss.pages[-1].entries == e_infinity(ss).entries
 
 
 def _forbid_subquotient(monkeypatch):
