@@ -204,8 +204,10 @@ def _check_height(height: int) -> None:
 
 
 def load_complex(path: str) -> tuple[str, cellmodel.NCCWComplex]:
-    default_name = os.path.splitext(os.path.basename(path))[0]
-    return parse_complex(_load_json(path), default_name)
+    obj = _load_json(path)
+    # a file name need not be UTF-8; the printed name shows U+FFFD instead
+    stem = os.path.splitext(os.path.basename(os.fsencode(path)))[0]
+    return parse_complex(obj, stem.decode("utf-8", "replace"))
 
 
 def parse_morphism_maps(obj, src, dst) -> constructions.CellularMorphism:
@@ -314,9 +316,40 @@ def result_payload(name, theory, even, odd, pages=None) -> dict:
     return out
 
 
+_string = json.encoder.encode_basestring_ascii  # json's own C escaper
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, which
+    would run json's pure-Python encoder.  Strings go through json's C
+    escaper and ints through ``int.__repr__``, as json writes them, other
+    leaves through ``json.dumps``; a list of plain ints (a matrix row) is
+    one join."""
+    if type(value) is str:
+        return _string(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_string(k)}: {_indented(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) <= {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_indented(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
 def emit(payload: dict, as_json: bool, paper_indexing: bool = False) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_indented(payload))
         return
     print(f"name: {payload['name']}")
     print(f"theory: {payload['theory']}")
@@ -518,7 +551,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send the rest to devnull so that the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_DOMAIN
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

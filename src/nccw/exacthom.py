@@ -143,7 +143,14 @@ class IntMatrix:
     __hash__ = None
 
     def tolist(self) -> list[list[int]]:
-        return [[row.get(j, 0) for j in range(self.shape[1])] for row in self.rows]
+        """Dense rows, each filled from the nonzeros of its sparse row."""
+        out = []
+        for row in self.rows:
+            dense = [0] * self.shape[1]
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.tolist()!r}, shape={self.shape})"

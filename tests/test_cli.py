@@ -1,14 +1,19 @@
+import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccw.cli import (
     FileFormatError,
+    _indented,
     complex_payload,
     main,
     parse_complex,
@@ -19,6 +24,7 @@ from nccw.exacthom import MAX_LISTED_SUMMANDS, FGAbelianGroup
 from conftest import check_cli_contract
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def fix(name):
@@ -617,3 +623,92 @@ class TestGroupGrammar:
         assert group == FGAbelianGroup.free(10**7)
         assert code == 0 and "even: Z^10000000\n" in out
         assert parse_peak < 5 * 2**20 and fibration_peak < 5 * 2**20
+
+
+# every key sorted, every string escaped to ASCII, every matrix row one int
+# per line: the writer must give the text of the json module's own indenter
+json_text = st.lists(
+    st.one_of(st.characters(exclude_categories=()),
+              st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\ud800",
+                               "\udcff", "\U0001f600", "\u00e9"])),
+    max_size=6,
+).map("".join)
+json_ints = st.one_of(st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -1))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_ints, json_text,
+              st.sampled_from([[], [[]], [[], []], {}]),
+              st.lists(st.lists(json_ints, max_size=4), max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_same_text_as_json_dumps(self, value):
+        assert _indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_bool_rows_are_not_int_rows(self):
+        assert _indented([True, 1]) == "[\n  true,\n  1\n]"
+
+
+def simplex_boundary_file(path, n):
+    """The boundary of the (n+1)-simplex as a classical complex file."""
+    faces = [list(itertools.combinations(range(n + 2), p + 1)) for p in range(n + 1)]
+    index = [{f: i for i, f in enumerate(fs)} for fs in faces]
+    boundaries = []
+    for p in range(n):
+        m = [[0] * len(faces[p + 1]) for _ in faces[p]]
+        for j, f in enumerate(faces[p + 1]):
+            for k in range(len(f)):
+                m[index[p][f[:k] + f[k + 1:]]][j] = (-1) ** k
+        boundaries.append(m)
+    cw = {"counts": [len(fs) for fs in faces], "boundaries": boundaries}
+    path.write_text(json.dumps({"name": f"s{n}", "classical_cw": cw}))
+    return path
+
+
+def run_module(argv, **env):
+    return subprocess.Popen([sys.executable, "-m", "nccw.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=SRC, **env))
+
+
+class TestOutputStreams:
+    """What a real stdout does to the output: a reader that goes away, and
+    an encoding that refuses what it cannot encode."""
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe_is_one_error_line(self, tmp_path, extra):
+        # both forms of S^7 write more than a pipe holds, so the write
+        # after the reader leaves must fail
+        path = simplex_boundary_file(tmp_path / "s7.json", 7)
+        proc = run_module(["compute", str(path), "--theory", "hp", "--pages", *extra])
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["compute"], ["compute", "--json"]],
+        ids=["validate", "compute", "compute_json"],
+    )
+    def test_file_name_that_is_not_utf8(self, tmp_path, argv):
+        path = os.path.join(os.fsencode(tmp_path), b"q\xff.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"classical_cw": {"counts": [1], "boundaries": []}}, fh)
+        # a strict UTF-8 stdout, as a UTF-8 locale of any other name than
+        # C.UTF-8 gives
+        proc = run_module([*argv, os.fsdecode(path)], PYTHONIOENCODING="utf-8")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert err == b""
+        if "--json" in argv:
+            assert json.loads(out)["name"] == "q\ufffd"
+        else:
+            assert "q\ufffd".encode() in out

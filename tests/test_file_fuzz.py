@@ -3,12 +3,13 @@
 The JSON fixtures are mutated (keys dropped or replaced, values of the
 wrong type, booleans, floats, integers of 2^70, ragged rows) and run
 through ``validate``, ``compute --pages``, all four ``transform`` ops and
-``fibration --map``.  Random command lines are drawn from every
-subcommand, flag and value the parser knows, plus ambiguous
-abbreviations, stray values and missing files.  Every run must end in
-exit 0, 1 or 2 with at most one ``error:`` line; no exception may leave
-``cli.main``.  Help is left out: ``-h`` prints it and exits 0 through
-``SystemExit``, as ``tests/test_cli.py`` checks.
+``fibration --map``.  A deterministic sweep also puts every listed bad
+value once at every place of three fixtures.  Random command lines are
+drawn from every subcommand, flag and value the parser knows, plus
+ambiguous abbreviations, stray values and missing files.  Every run must
+end in exit 0, 1 or 2 with at most one ``error:`` line; no exception may
+leave ``cli.main``.  Help is left out: ``-h`` prints it and exits 0
+through ``SystemExit``, as ``tests/test_cli.py`` checks.
 """
 
 import copy
@@ -16,6 +17,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,11 +40,13 @@ MORPHISM = fixture("point_to_circle.json")
 POINT = os.path.join(FIXTURES, "point.json")
 TOTAL = os.path.join(FIXTURES, "circle.json")
 
+BAD_CONSTANTS = [None, True, False, 0, -1, 1.0, 1.5, "1", [], {}, [[]], [True], [1.5],
+                 [[1, 2], [3]], [[1], 1], [[True]], 2**70, -(2**70), [2**70], [[2**70]],
+                 [[-(2**70), 1]], "\ud800"]
+
 # copied on every draw: a later mutation may edit a value in place
 bad_values = st.one_of(
-    st.sampled_from([None, True, False, 0, -1, 1.0, 1.5, "1", [], {}, [[]], [True], [1.5],
-                     [[1, 2], [3]], [[1], 1], [[True]], 2**70, -(2**70), [2**70], [[2**70]],
-                     [[-(2**70), 1]], "\ud800"]).map(copy.deepcopy),
+    st.sampled_from(BAD_CONSTANTS).map(copy.deepcopy),
     st.integers(-3, 3),
 )
 
@@ -110,6 +114,35 @@ def test_mutated_files_never_escape(cx, morphism, theory):
                                     "--theory", theory])
             check_cli_contract(["fibration", "--base", src, "--map", mpath, "--total", TOTAL,
                                 "--theory", theory])
+
+
+def replaced(doc, path, value):
+    """``doc`` with the place at ``path`` (keys and indices) set to ``value``."""
+    if not path:
+        return copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.parametrize("value", BAD_CONSTANTS, ids=repr)
+@pytest.mark.parametrize("name", ["i2", "rp2", "torus"])
+def test_each_bad_value_at_each_place(tmp_path, name, value):
+    # the random mutations above rarely put a given value at a given key;
+    # this sweep puts every listed value at every place once
+    doc = fixture(f"{name}.json")
+    path = os.path.join(tmp_path, "complex.json")
+    for place in positions(doc):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(replaced(doc, place, value), fh)
+        for argv in (["validate", path], ["compute", path, "--pages"]):
+            try:
+                check_cli_contract(argv)
+            except AssertionError as exc:
+                raise AssertionError(f"{value!r} at {place}: {exc}") from None
 
 
 SUBCOMMANDS = ["validate", "compute", "transform", "fibration"]

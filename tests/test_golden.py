@@ -10,7 +10,10 @@ output must not change when the route to them does.
 The files in ``golden/cli/`` hold ``fibration --json`` with given
 coefficient groups and ``transform --op cone --json``, as produced while
 coefficient cohomology still ran Smith normal form on a block-diagonal
-expansion of the base and the cone was a hand-built trivial answer.
+expansion of the base and the cone was a hand-built trivial answer.  They
+also hold ``transform --op suspend``, whose complex file has an empty
+``algebra`` and empty ``delta`` rows, as written by ``json.dumps(...,
+indent=2)`` before ``--json`` output got its own writer.
 """
 
 import os
@@ -42,6 +45,10 @@ def cone(name, theory):
     return ["transform", source(name), "--op", "cone", "--theory", theory, "--json"]
 
 
+def suspend(name):
+    return ["transform", source(name), "--op", "suspend"]
+
+
 CLI_CASES = {
     "fibration_torus_k": fibration("torus", "Z+Z/2", "Z/6", "k"),
     "fibration_rp2_k": fibration("rp2", "Z+Z/2", "Z/6", "k"),
@@ -55,6 +62,9 @@ CLI_CASES = {
     "cone_rp2_hp": cone("rp2", "hp"),
     "cone_i2_k": cone("i2", "k"),
     "cone_torus_hp": cone("torus", "hp"),
+    "suspend_i2": suspend("i2"),
+    "suspend_rp2": suspend("rp2"),
+    "suspend_torus": suspend("torus"),
 }
 
 

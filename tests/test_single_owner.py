@@ -3,7 +3,9 @@
 The theory's ring (Z for K, Q for HP) and the refusal of an unknown
 theory live in ``findim.ring_of``; the engine, the fibration module and
 the command line take rings from there.  A tower keeps its coboundaries
-only as the differentials of its cochain complex.  These are static
+only as the differentials of its cochain complex.  Indented JSON has one
+writer, ``cli._indented``: an ``indent=`` argument would send the json
+module to its pure-Python encoder.  These are static
 checks of the sources, in the style of the record-equality scan.
 
 The benchmark reaches into the library by name: ``bench/layers.py``
@@ -57,6 +59,16 @@ def test_tower_keeps_coboundaries_only_in_its_cochain_complex():
     x = from_classical_cw([1, 1], [[[0]]])
     assert not hasattr(x, "coboundaries")
     assert x.cochain.differentials[0].tolist() == [[0]]
+
+
+def test_no_json_call_indents():
+    indenting = [
+        (name, node.lineno)
+        for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+        for node in ast.walk(ast.parse(_source(name)))
+        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert indenting == []
 
 
 def _bench_layer_names():
