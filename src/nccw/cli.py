@@ -78,7 +78,8 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
+        # a path the file system encoding cannot encode fails in ``open``
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         # undecodable text, bad syntax, or an integer literal longer than
@@ -297,7 +298,8 @@ def page_payload(page: Page, symbol: str) -> dict:
                 "parity": "even" if parity == PARITY_EVEN else "odd",
                 "target_p": p + page.r,
                 "target_paper_p": k - p - page.r,
-                "matrix": page.differentials[(p, parity)].tolist(),
+                # written from its sparse rows by ``_indented`` or ``emit``
+                "matrix": page.differentials[(p, parity)],
             }
         )
     return {"r": page.r, "entries": entries, "differentials": diffs}
@@ -324,11 +326,13 @@ def _indented(value, pad: str = "\n") -> str:
     would run json's pure-Python encoder.  Strings go through json's C
     escaper and ints through ``int.__repr__``, as json writes them, other
     leaves through ``json.dumps``; a list of plain ints (a matrix row) is
-    one join."""
+    one join, and an ``IntMatrix`` is written as its dense rows."""
     if type(value) is str:
         return _string(value)
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is IntMatrix:
+        return _indented_rows(value, pad)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -345,6 +349,24 @@ def _indented(value, pad: str = "\n") -> str:
             items = [_indented(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(value)
+
+
+def _indented_rows(m: IntMatrix, pad: str) -> str:
+    """``_indented(m.tolist(), pad)`` without the dense ints: each row is
+    ``"0"`` in every column, with the nonzeros of its sparse row patched in."""
+    if not m.rows:
+        return "[]"
+    inner = pad + "  "
+    cell = inner + "  "
+    sep = "," + cell
+    ncols = m.shape[1]
+    lines = []
+    for row in m.rows:
+        dense = ["0"] * ncols
+        for j, x in row.items():
+            dense[j] = int.__repr__(x)
+        lines.append("[" + cell + sep.join(dense) + inner + "]" if ncols else "[]")
+    return "[" + inner + ("," + inner).join(lines) + pad + "]"
 
 
 def emit(payload: dict, as_json: bool, paper_indexing: bool = False) -> None:
@@ -371,7 +393,7 @@ def emit(payload: dict, as_json: bool, paper_indexing: bool = False) -> None:
         for d in pg["differentials"]:
             p = d["paper_p"] if paper_indexing else d["p"]
             tp = d["target_paper_p"] if paper_indexing else d["target_p"]
-            print(f"  d at (p={p}, q={d['parity']}) -> p={tp}: {d['matrix']}")
+            print(f"  d at (p={p}, q={d['parity']}) -> p={tp}: {d['matrix'].tolist()}")
 
 
 def complex_payload(name: str, x: cellmodel.NCCWComplex) -> dict:

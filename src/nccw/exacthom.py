@@ -47,6 +47,7 @@ Conventions
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from math import gcd
 
 from .errors import CertificateFailed, ComplexViolation, OutOfRange, ShapeMismatch
@@ -78,7 +79,8 @@ class IntMatrix:
 
     @classmethod
     def _dense(cls, rows, ncols: int) -> "IntMatrix":
-        return cls((len(rows), ncols), [{j: x for j, x in enumerate(r) if x} for r in rows])
+        cols = range(ncols)
+        return cls((len(rows), ncols), [{j: r[j] for j in compress(cols, r)} for r in rows])
 
     def __getitem__(self, index) -> int:
         i, j = index
@@ -167,7 +169,8 @@ def intmat(data, shape: tuple[int, int] | None = None) -> IntMatrix:
         if shape is not None and data.shape != tuple(shape):
             raise ShapeMismatch(f"expected shape {shape}, got {data.shape[0]}x{data.shape[1]}")
         return data
-    rows = [list(r) for r in data]
+    # a new outer list; list rows are read in place and never written
+    rows = [r if type(r) is list else list(r) for r in data]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else (shape[1] if shape else 0)
     if shape is not None:
@@ -865,8 +868,11 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
     ``d - d[:, j] * u * d[i, :]`` with row ``i`` and column ``j`` dropped;
     the differential into degree ``p`` loses row ``j`` and the one out of
     degree ``p + 1`` loses column ``i``.  Pivots are taken while any
-    differential holds a unit, each in the column with the fewest
-    entries to limit fill-in.  The work runs on sparse rows, and the
+    differential holds a unit.  Each pass visits the rows of a degree
+    shortest first, as they stand when the pass starts, and a row's pivot
+    is its unit in the column with the fewest entries: the update then
+    touches at most ``(row length - 1) * (column length - 1)`` entries,
+    Markowitz's bound on fill-in.  The work runs on sparse rows, and the
     result is an ordinary ``CochainComplex``, so d after d = 0 is checked
     again on what remains.  A complex without unit entries comes back
     unchanged.
@@ -929,13 +935,16 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
         progress = False
         for s in range(len(rows)):
             row_map, col_map = rows[s], cols[s]
-            for i in list(row_map):
+            for i in sorted(row_map, key=lambda i: len(row_map[i])):
                 row = row_map.get(i)
                 if row is None:
                     continue
-                units = [j for j, x in row.items() if x in (1, -1)]
-                if units:
-                    eliminate(s, i, min(units, key=lambda j: len(col_map[j])))
+                pivot, best = None, 0
+                for j, x in row.items():
+                    if (x == 1 or x == -1) and (pivot is None or len(col_map[j]) < best):
+                        pivot, best = j, len(col_map[j])
+                if pivot is not None:
+                    eliminate(s, i, pivot)
                     progress = True
 
     keep = [sorted(a) for a in alive]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -8,18 +10,21 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nccw import cellmodel, ssengine
 from nccw.cli import (
     FileFormatError,
     _indented,
     complex_payload,
     main,
+    page_payload,
     parse_complex,
     parse_group,
 )
-from nccw.exacthom import MAX_LISTED_SUMMANDS, FGAbelianGroup
+from nccw.exacthom import MAX_LISTED_SUMMANDS, FGAbelianGroup, IntMatrix, intmat, zeros
+from nccw.findim import THEORY_K
 
 from conftest import check_cli_contract
 
@@ -55,6 +60,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "validate", fix("no_such_file.json"))
         assert code == 2
+
+    def test_unencodable_path_cannot_be_read(self):
+        # open() refuses a lone surrogate before any byte is read, so the
+        # file is unreadable, not a file of bad JSON; only a library caller
+        # can pass such a path, and the interpreter's own stderr would
+        # escape it, so a text buffer stands in for stderr here
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "\ud800.json"])
+        assert code == 2 and out.getvalue() == ""
+        text = err.getvalue()
+        assert text.startswith("error: cannot read \ud800.json: ") and text.count("\n") == 1, text
 
     def test_size_overflow_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "overflow.json"
@@ -644,6 +661,14 @@ json_values = st.recursive(
 )
 
 
+int_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.one_of(st.just(0), json_ints), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    ).map(lambda rows: intmat(rows, shape=shape))
+)
+
+
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(json_values)
@@ -652,6 +677,23 @@ class TestJsonWriter:
 
     def test_bool_rows_are_not_int_rows(self):
         assert _indented([True, 1]) == "[\n  true,\n  1\n]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices, st.integers(0, 3))
+    @example(zeros(0, 3), 0)
+    @example(zeros(2, 0), 1)
+    @example(zeros(0, 0), 2)
+    def test_matrix_is_written_as_its_dense_rows(self, m, depth):
+        value, dense = m, m.tolist()
+        for _ in range(depth):  # as deep as a page's differential sits
+            value, dense = [{"matrix": value, "p": 0}], [{"matrix": dense, "p": 0}]
+        assert _indented(value) == json.dumps(dense, sort_keys=True, indent=2)
+
+    def test_pages_hold_the_matrices_themselves(self):
+        model = cellmodel.from_classical_cw([1, 1, 1], [[[0]], [[2]]])
+        ss = ssengine.stabilize(ssengine.from_cellular(model.cochain, THEORY_K))
+        diffs = [d for pg in ss.pages for d in page_payload(pg, "Z")["differentials"]]
+        assert diffs and all(type(d["matrix"]) is IntMatrix for d in diffs)
 
 
 def simplex_boundary_file(path, n):

@@ -80,6 +80,72 @@ def test_intmat_validates_entries_and_shapes():
     assert m.rows == ({1: 5}, {})
 
 
+class Index:
+    """An integer that is not an ``int``: ``intmat`` converts it through
+    ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def snapshot(data):
+    """The outer sequence and every row, kept by identity of each item."""
+    return list(data), [list(r) for r in data]
+
+
+def assert_unchanged(data, before):
+    outer, rows = before
+    assert len(data) == len(outer) and all(a is b for a, b in zip(data, outer))
+    assert all(len(r) == len(s) and all(x is y for x, y in zip(r, s)) for r, s in zip(data, rows))
+
+
+@pytest.mark.parametrize("data, dense", [
+    ([[0, 5, 0], [1, 0, -1]], [[0, 5, 0], [1, 0, -1]]),
+    ([(0, 5, 0), (1, 0, -1)], [[0, 5, 0], [1, 0, -1]]),
+    ([[0, 2**70, 0], (-3, 0, 0)], [[0, 2**70, 0], [-3, 0, 0]]),
+    ([[Index(3), 0, Index(0)], [0, 0, 7]], [[3, 0, 0], [0, 0, 7]]),
+    (([1, 0], [0, Index(-2)]), [[1, 0], [0, -2]]),
+], ids=["lists", "tuples", "mixed", "index", "outer-tuple"])
+def test_intmat_keeps_rows_without_writing_them(data, dense):
+    before = snapshot(data)
+    m = intmat(data)
+    assert_unchanged(data, before)
+    assert m.tolist() == dense
+    # no row of the matrix is one of the caller's lists, so later writes
+    # to them do not reach it
+    assert not any(r is s for r in m.rows for s in data)
+    for row in data:
+        if type(row) is list:
+            row[:] = [9] * len(row)
+    assert m.tolist() == dense
+
+
+@pytest.mark.parametrize("data", [
+    [[1, 0], [0, True]],
+    [[Index(2), 0], [1.0, 0]],
+    [(1, 0), [0, 1], [Index(1), 2.5]],
+], ids=["bool", "float-after-index", "float-last"])
+def test_rejected_rows_stay_as_they_were(data):
+    before = snapshot(data)
+    with pytest.raises(ShapeMismatch, match="not an integer"):
+        intmat(data)
+    assert_unchanged(data, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_rows_are_the_nonzeros_of_the_lists(data):
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    entries = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-(2**80), 2**80))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    assert intmat(rows, shape=(m, n)).rows == tuple(
+        {j: x for j, x in enumerate(r) if x} for r in rows
+    )
+
+
 def test_operations_refuse_mismatched_shapes():
     with pytest.raises(ShapeMismatch):
         identity(2) @ identity(3)

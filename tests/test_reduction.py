@@ -1,11 +1,13 @@
 """Unit-pivot reduction of cochain complexes and the sparse d after d check.
 
 Every expectation here is read from the unreduced complex (degree by
-degree with ``conftest.cohomology_oracle``, on sympy's invariant factors)
-or from dense products of plain lists, so the reduction and the sparse
-product are never checked against themselves.
+degree with ``conftest.cohomology_oracle``, on sympy's invariant factors),
+from the pieces a test complex is built of, or from dense products of
+plain lists, so the reduction and the sparse product are never checked
+against themselves.
 """
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from nccw.exacthom import (
     zeros,
 )
 
-from conftest import cohomology_oracle, dense_product_is_zero, small_complexes
+from conftest import cohomology_oracle, dense_product, dense_product_is_zero, small_complexes
 
 
 def euler(c):
@@ -87,24 +89,127 @@ def test_complex_without_units_comes_back_unchanged():
     assert reduce_complex(c) is c
 
 
+def simplex_sphere(n, rng=None):
+    """The boundary of the (n+1)-simplex, S^n, in cochain orientation.
+    With ``rng`` the cells of every degree are relabelled and re-signed,
+    which moves the units of each row to other columns and leaves the
+    cohomology alone."""
+    faces = [list(itertools.combinations(range(n + 2), p + 1)) for p in range(n + 1)]
+    perm = [list(range(len(fs))) for fs in faces]
+    sign = [[1] * len(fs) for fs in faces]
+    if rng is not None:
+        for p, fs in enumerate(faces):
+            rng.shuffle(perm[p])
+            sign[p] = [rng.choice((-1, 1)) for _ in fs]
+    index = [{f: perm[p][i] for i, f in enumerate(fs)} for p, fs in enumerate(faces)]
+    mats = []
+    for p in range(n):
+        mat = [[0] * len(faces[p]) for _ in faces[p + 1]]
+        for f in faces[p + 1]:
+            i = index[p + 1][f]
+            for t in range(len(f)):
+                j = index[p][f[:t] + f[t + 1:]]
+                mat[i][j] = (-1) ** t * sign[p + 1][i] * sign[p][j]
+        mats.append(intmat(mat, shape=(len(faces[p + 1]), len(faces[p]))))
+    return CochainComplex("Z", [len(fs) for fs in faces], mats)
+
+
 def test_simplex_boundary_reduces_to_two_cells():
-    # boundary of the 3-simplex, cochain orientation: S^2 with 4, 6, 4 cells
-    verts = [(0,), (1,), (2,), (3,)]
-    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    tris = [(a, b, c) for a in range(4) for b in range(a + 1, 4) for c in range(b + 1, 4)]
-
-    def coboundary(src, dst):
-        mat = [[0] * len(src) for _ in dst]
-        for i, face in enumerate(dst):
-            for t in range(len(face)):
-                mat[i][src.index(face[:t] + face[t + 1 :])] = (-1) ** t
-        return intmat(mat, shape=(len(dst), len(src)))
-
-    c = CochainComplex("Z", [4, 6, 4], [coboundary(verts, edges), coboundary(edges, tris)])
+    # boundary of the 3-simplex: S^2 with 4, 6, 4 cells
+    c = simplex_sphere(2)
+    assert c.ranks == (4, 6, 4)
     r = reduce_complex(c)
     assert r.ranks == (1, 0, 1)
     assert all_cohomology(c) == [FGAbelianGroup.free(1), FGAbelianGroup.trivial(),
                                  FGAbelianGroup.free(1)]
+
+
+def unimodular(n, rng, steps):
+    """A random unimodular n x n matrix and its inverse, as lists of rows:
+    ``steps`` row additions, negations and swaps on the identity, and the
+    inverse column operations on a second identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.choice(("add", "add", "negate", "swap"))
+        if kind == "add":
+            k = rng.choice((-1, 1))
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+            for row in inv:
+                row[j] -= k * row[i]
+        elif kind == "negate":
+            u[i] = [-a for a in u[i]]
+            for row in inv:
+                row[i] = -row[i]
+        else:
+            u[i], u[j] = u[j], u[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+    return u, inv
+
+
+def hidden_torsion_complex(rng, free, pieces):
+    """``free[p]`` free generators in degree p and, for each ``(p, d)`` of
+    ``pieces``, a pair ``Z --d--> Z`` from degree p to p + 1, with the basis
+    of every degree changed by a random unimodular matrix, so that the
+    differentials are dense and the torsion hidden.  Returns the complex and
+    its cohomology, read off the pieces: ``Z^free[q]`` plus ``Z/d`` for each
+    piece into degree q."""
+    ranks = list(free)
+    places = []
+    for p, d in pieces:
+        places.append((p, ranks[p], ranks[p + 1], d))
+        ranks[p] += 1
+        ranks[p + 1] += 1
+    plain = [[[0] * ranks[p] for _ in range(ranks[p + 1])] for p in range(len(ranks) - 1)]
+    for p, i, j, d in places:
+        plain[p][j][i] = d
+    bases = [unimodular(r, rng, 4 * r) for r in ranks]
+    mats = [
+        intmat(dense_product(dense_product(bases[p + 1][0], plain[p], ranks[p]), bases[p][1],
+                             ranks[p]), shape=(ranks[p + 1], ranks[p]))
+        for p in range(len(plain))
+    ]
+    expected = [
+        FGAbelianGroup.from_cyclic_orders([d for p, d in pieces if p + 1 == q], free[q])
+        for q in range(len(ranks))
+    ]
+    return CochainComplex("Z", ranks, mats), expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_signed_permuted_spheres_match_the_oracle(n, seed):
+    c = simplex_sphere(n, random.Random(100 * n + seed))
+    sphere = [FGAbelianGroup.free(1)] + [FGAbelianGroup.trivial()] * (n - 1) + [
+        FGAbelianGroup.free(1)]
+    for x in (c, dual(c)):
+        assert reduce_complex(x).ranks == (1,) + (0,) * (n - 1) + (1,)
+        assert all_cohomology(x) == cohomology_oracle(x) == sphere
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hidden_torsion_matches_the_oracle(seed):
+    rng = random.Random(1800 + seed)
+    k = rng.randint(2, 4)
+    free = [rng.randint(0, 2) for _ in range(k + 1)]
+    # one contractible pair at least, so that the reduction has work
+    pieces = [(rng.randrange(k), rng.choice((1, 1, 2, 3, 4, 6, 12))) for _ in range(rng.randint(1, 5))]
+    pieces.append((rng.randrange(k), 1))
+    c, expected = hidden_torsion_complex(rng, free, pieces)
+    assert any(v in (1, -1) for d in c.differentials for v in d.flat)
+    assert sum(len(row) for d in c.differentials for row in d.rows) > len(pieces)
+    assert all_cohomology(c) == cohomology_oracle(c) == expected
+    h = dual(c)
+    assert all_cohomology(h) == cohomology_oracle(h)
+
+
+def test_boundary_of_the_8_simplex_reduces_to_two_cells():
+    c = simplex_sphere(7)
+    assert sum(c.ranks) == 510
+    assert reduce_complex(c).ranks == (1, 0, 0, 0, 0, 0, 0, 1)
+    assert reduce_complex(dual(c)).ranks == (1, 0, 0, 0, 0, 0, 0, 1)
 
 
 def aliasing_pair(t, k):

@@ -5,8 +5,10 @@ theory live in ``findim.ring_of``; the engine, the fibration module and
 the command line take rings from there.  A tower keeps its coboundaries
 only as the differentials of its cochain complex.  Indented JSON has one
 writer, ``cli._indented``: an ``indent=`` argument would send the json
-module to its pure-Python encoder.  These are static
-checks of the sources, in the style of the record-equality scan.
+module to its pure-Python encoder.  ``cli.page_payload`` hands the
+differentials on as matrices; only the output fills in their zeros.
+These are static checks of the sources, in the style of the
+record-equality scan.
 
 The benchmark reaches into the library by name: ``bench/layers.py``
 wraps the functions its ``LAYERS`` table lists, and ``bench/selftest.py``
@@ -69,6 +71,16 @@ def test_no_json_call_indents():
         if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert indenting == []
+
+
+def test_page_payload_never_densifies():
+    # the E^1 differentials stay sparse until ``_indented`` or ``emit``
+    # writes their rows
+    (func,) = [
+        node for node in ast.walk(ast.parse(_source("cli.py")))
+        if isinstance(node, ast.FunctionDef) and node.name == "page_payload"
+    ]
+    assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "tolist"]
 
 
 def _bench_layer_names():
