@@ -11,7 +11,7 @@ from nccw.ssengine import ASSEMBLY_EXACT
 
 
 def show(name, model):
-    print(f"--- {name} (cells {list(model.cell_counts)}, chi = {euler_characteristic(model)})")
+    print(f"--- {name} (cells {list(model.cochain.ranks)}, chi = {euler_characteristic(model)})")
     for theory, symbol in (("K", "Z"), ("HP", "Q")):
         even, odd = compute_theories(cochain_complex(model, theory), theory)
         flag = "  [up to extension]" if even.note != ASSEMBLY_EXACT else ""

@@ -2,18 +2,14 @@
 
 The cone of anything is contractible: it is the mapping cone of the
 identity, whose complex is acyclic.  Suspension swaps the two parities.
-The cylinder of a morphism carries the codomain's theories and remembers
-the embedded copy of the domain.  The mapping cone computes the relative
+The cylinder of a morphism deformation retracts onto the codomain, so it
+carries the codomain's theories; the morphism records the embedded copy
+of the domain.  The mapping cone computes the relative
 groups, tied to domain and codomain by the periodic six-term sequence.
 """
 
 from nccw import cochain_complex, from_classical_cw
-from nccw.constructions import (
-    CellularMorphism,
-    mapping_cylinder,
-    relative_assemblies,
-    suspend,
-)
+from nccw.constructions import CellularMorphism, relative_assemblies, suspend
 from nccw.exacthom import CochainComplex, intmat
 from nccw.ssengine import compute_theories
 
@@ -39,9 +35,8 @@ print(f"  cone of the circle: K groups even {cone_even.group}, odd {cone_odd.gro
 
 print("\n== cylinder of the inclusion of a point into the circle")
 include = CellularMorphism(point, circle, [intmat([[1]])])
-model, embedded = mapping_cylinder(include)
-print(f"  cylinder theories: even {theories(model)[0]}, odd {theories(model)[1]}")
-print(f"  embedded domain has {embedded.src.ranks} cells mapping into {embedded.dst.ranks}")
+print(f"  cylinder theories: even {theories(include.dst)[0]}, odd {theories(include.dst)[1]}")
+print(f"  embedded domain has {include.src.ranks} cells mapping into {include.dst.ranks}")
 
 print("\n== mapping cone computes the relative groups")
 for name, f in [

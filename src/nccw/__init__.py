@@ -5,9 +5,9 @@ The package is organized around one pipeline: a tower of stages
 (:mod:`nccw.ssengine`) runs its filtration spectral sequence page by page,
 and the assembly reports the 2-periodic theory groups with honest
 extension flags.  :mod:`nccw.exacthom` supplies the exact integer linear
-algebra underneath, :mod:`nccw.constructions` the suspension,
-cylinder and mapping cone, and :mod:`nccw.fibration` the coefficient
-spectral sequence of a fibration replacement.  :mod:`nccw.cli` is the
+algebra underneath, :mod:`nccw.constructions` the suspension and the
+mapping cone, and :mod:`nccw.fibration` the coefficient spectral
+sequence of a fibration replacement.  :mod:`nccw.cli` is the
 command-line front end.
 """
 
@@ -40,7 +40,6 @@ from .findim import (
     FinDimAlgebra,
     MultMorphism,
     compose,
-    k0_map,
     theory_groups,
     validate_morphism,
 )
@@ -71,7 +70,6 @@ from .ssengine import (
 from .constructions import (
     CellularMorphism,
     mapping_cone_complex,
-    mapping_cylinder,
     relative_assemblies,
     suspend,
 )

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .exacthom import RING_Z, CochainComplex, IntMatrix, euler, intmat
-from .findim import FinDimAlgebra, MultMorphism, k0_map, ring_of
+from .findim import FinDimAlgebra, MultMorphism, ring_of
 from .frozen import Frozen
 
 
@@ -79,26 +79,25 @@ class NCCWComplex(Frozen):
     """A validated tower and its checked integer cochain complex.
 
     Instances are built through :func:`build`, compare by identity and
-    have frozen fields; ``cochain.differentials`` are the coboundaries.
-    ``cell_counts`` repeats ``cochain.ranks``: the benchmark's layer
-    tracer counts cells by reading it from what ``build`` returns.
+    have frozen fields; ``cochain.differentials`` are the coboundaries,
+    ``cochain.ranks`` the cell counts and ``cochain.top_degree`` the
+    top dimension.
     """
 
     stages: tuple[NCCWStage, ...]
     cochain: CochainComplex
-    cell_counts: tuple[int, ...]
 
     def __init__(self, stages: tuple[NCCWStage, ...], cochain: CochainComplex):
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "cochain", cochain)
-        object.__setattr__(self, "cell_counts", cochain.ranks)
 
     @property
-    def top_dimension(self) -> int:
-        return len(self.stages) - 1
+    def cell_counts(self) -> tuple[int, ...]:
+        # kept for bench/layers.py::_built_cells, which counts cells by it
+        return self.cochain.ranks
 
     def __repr__(self) -> str:
-        return f"NCCWComplex(cell_counts={list(self.cell_counts)})"
+        return f"NCCWComplex(cell_counts={list(self.cochain.ranks)})"
 
 
 def boundary_from_endpoints(pair: EndpointPair) -> IntMatrix:
@@ -107,11 +106,11 @@ def boundary_from_endpoints(pair: EndpointPair) -> IntMatrix:
     The stage-1 extension has the suspension of the cell algebra as its
     ideal, and its connecting homomorphism on even theory is the
     difference of the two endpoint maps; that difference is the cellular
-    coboundary.  Shape: (cells of F, blocks of the stage-0 algebra).  The
-    pair's constructor has already checked that both maps share domain
-    and codomain.
+    coboundary.  K0 of a multiplicity morphism is its multiplicity matrix.
+    Shape: (cells of F, blocks of the stage-0 algebra).  The pair's
+    constructor has already checked that both maps share domain and codomain.
     """
-    return k0_map(pair.phi0) - k0_map(pair.phi1)
+    return pair.phi0.mult - pair.phi1.mult
 
 
 def build(stages) -> NCCWComplex:
@@ -201,10 +200,10 @@ def cochain_complex(x: NCCWComplex, theory: str) -> CochainComplex:
 
 def skeleton(x: NCCWComplex, p: int) -> NCCWComplex:
     """Truncate the tower to stages of dimension at most ``p``."""
-    if not 0 <= p <= x.top_dimension:
-        raise OutOfRange(f"skeleton degree {p} outside 0..{x.top_dimension}")
+    if not 0 <= p <= x.cochain.top_degree:
+        raise OutOfRange(f"skeleton degree {p} outside 0..{x.cochain.top_degree}")
     return build(x.stages[: p + 1])
 
 
 def euler_characteristic(x: NCCWComplex) -> int:
-    return euler(x.cell_counts)
+    return euler(x.cochain.ranks)

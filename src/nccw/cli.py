@@ -291,13 +291,14 @@ def page_payload(page: Page, symbol: str) -> dict:
         )
     diffs = []
     for (p, parity) in sorted(page.differentials.keys()):
+        target_p, _ = page.step(p, parity)
         diffs.append(
             {
                 "p": p,
                 "paper_p": k - p,
                 "parity": "even" if parity == PARITY_EVEN else "odd",
-                "target_p": p + page.r,
-                "target_paper_p": k - p - page.r,
+                "target_p": target_p,
+                "target_paper_p": k - target_p,
                 # written from its sparse rows by ``_indented`` or ``emit``
                 "matrix": page.differentials[(p, parity)],
             }
@@ -399,7 +400,7 @@ def emit(payload: dict, as_json: bool, paper_indexing: bool = False) -> None:
 def complex_payload(name: str, x: cellmodel.NCCWComplex) -> dict:
     """Serialize a tower in provided-coboundary form."""
     stages: list[dict] = [{"dim": 0, "algebra": list(x.stages[0].cell_algebra.sizes)}]
-    for k in range(1, x.top_dimension + 1):
+    for k in range(1, len(x.stages)):
         stages.append(
             {
                 "dim": k,
@@ -426,7 +427,7 @@ def suspended_payload(name: str, x: cellmodel.NCCWComplex) -> dict:
 
 def cmd_validate(args) -> int:
     name, built = load_complex(args.path)
-    print(f"{name}: valid, cell counts {list(built.cell_counts)}")
+    print(f"{name}: valid, cell counts {list(built.cochain.ranks)}")
     return EXIT_OK
 
 
@@ -478,8 +479,8 @@ def cmd_transform(args) -> int:
         raise FileFormatError(f"--op {args.op} needs --map")
     morphism = _load_morphism(args, built, theory)
     if args.op == "cylinder":
-        model, _embedded = constructions.mapping_cylinder(morphism)
-        even, odd = ssengine.compute_theories(model, theory)
+        # the cylinder deformation retracts onto the codomain
+        even, odd = ssengine.compute_theories(morphism.dst, theory)
         emit(result_payload(f"cylinder({name})", theory, even, odd), args.json)
         return EXIT_OK
     # argparse's choices leave "mapcone" as the only other operation
@@ -570,6 +571,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _error(message) -> None:
+    """One ``error:`` line; what stderr cannot encode is backslash-escaped."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    line = f"error: {message}".encode(encoding, "backslashreplace").decode(encoding)
+    print(line, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -582,14 +590,11 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+        _error("stdout was closed before the output was written")
         return EXIT_DOMAIN
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NCCWError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (FileFormatError, NCCWError) as exc:
+        _error(exc)
+        return EXIT_PARSE if isinstance(exc, FileFormatError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

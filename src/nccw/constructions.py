@@ -1,12 +1,10 @@
-"""Suspension, mapping cylinder and mapping cone at the cell level.
+"""Suspension and mapping cone at the cell level.
 
 The operations act on cellular cochain models and report what the theory
-functors see.  The cylinder of ``f`` is deliberately not a literal cell
-structure: it is homotopy equivalent to the codomain, so the codomain
-model plus the record of the embedded domain captures everything
-downstream consumers need.  The cone of ``X`` needs no construction of
-its own: it is the mapping cone of the identity of ``X``, whose complex
-is acyclic.
+functors see.  The cylinder of ``f`` needs no construction of its own:
+it deformation retracts onto the codomain, so its model is ``f.dst``.
+The cone of ``X`` needs none either: it is the mapping cone of the
+identity of ``X``, whose complex is acyclic.
 
 The mapping cone is an honest complex computing the relative theories.
 Its natural degree range starts one below zero (the shifted copy of the
@@ -91,16 +89,6 @@ def suspend(c: CochainComplex) -> CochainComplex:
     ranks = (0,) + c.ranks
     diffs = (zeros(c.rank(0), 0),) + c.differentials
     return CochainComplex(c.ring, ranks, diffs)
-
-
-def mapping_cylinder(f: CellularMorphism) -> tuple[CochainComplex, CellularMorphism]:
-    """(model, embedded domain record) of the cylinder of ``f``.
-
-    The model is the codomain complex (the cylinder deformation retracts
-    onto it); the second component records how the domain sits inside,
-    which is what fibration replacement consumes: that is ``f`` itself.
-    """
-    return f.dst, f
 
 
 def mapping_cone_complex(f: CellularMorphism) -> CochainComplex:

@@ -726,21 +726,21 @@ def relation_matrix(orders: list[int]) -> IntMatrix:
 
 def presented_subquotient(
     orders: list[int],
-    out_map: IntMatrix | None,
+    out_map: IntMatrix,
     out_orders: list[int],
-    in_map: IntMatrix | None,
+    in_map: IntMatrix,
 ) -> FGAbelianGroup:
     """Kernel-mod-image inside a presented group.
 
     The ambient group is ``Z^m / R`` where ``m = len(orders)`` and ``R``
     is the relation lattice of ``orders``.  ``out_map`` (on generators)
     must be well defined modulo the target relations described by
-    ``out_orders``; ``in_map`` lands in the ambient group.  Both may be
-    None for the zero map.  Returns ker(out)/im(in) in canonical form.
+    ``out_orders``; ``in_map`` lands in the ambient group.  A zero map, of
+    any shape, costs no factorization.  Returns ker(out)/im(in) in canonical form.
     """
     m = len(orders)
     rel = relation_matrix(orders)
-    if out_map is None or out_map.is_zero:
+    if out_map.is_zero:
         kgen = identity(m)
     else:
         if out_map.shape[1] != m:
@@ -751,7 +751,7 @@ def presented_subquotient(
         kernel = kernel_basis(stack([[-out_rel, out_map]]))
         kgen = IntMatrix((m, kernel.shape[1]), kernel.rows[out_rel.shape[1] :])
     jcols = [rel]
-    if in_map is not None and not in_map.is_zero:
+    if not in_map.is_zero:
         if in_map.shape[0] != m:
             raise ShapeMismatch("incoming map has wrong number of rows")
         jcols.append(in_map)

@@ -1,7 +1,7 @@
 """Fibration replacement and the coefficient spectral sequence.
 
-Any cellular morphism is replaced by its mapping-cylinder picture (total
-model plus embedded domain); the relative theories of the morphism, read
+A cellular morphism stands for its fibration replacement, whose cylinder
+retracts onto the codomain; the relative theories of the morphism, read
 off the mapping cone by excision, become the coefficient groups.  With a
 simple system of local coefficients the second page is ordinary
 coefficient cohomology of the base, 2-periodic in the fiber direction,
@@ -74,11 +74,9 @@ def relative_coefficients(
     instead of silently reporting the direct sum of its pieces.
     """
     even, odd = relative_assemblies(f, theory)
-    for a in (even, odd):
+    for parity, a in (("even", even), ("odd", odd)):
         if a.note == ASSEMBLY_UP_TO_EXTENSION:
-            raise UnresolvedExtension(
-                f"relative {a.parity} group is only known up to extension"
-            )
+            raise UnresolvedExtension(f"relative {parity} group is only known up to extension")
     return even.group, odd.group
 
 

@@ -117,9 +117,3 @@ def theory_groups(a: FinDimAlgebra, theory: str) -> tuple[FGAbelianGroup, FGAbel
     """
     ring_of(theory)  # refuses an unknown theory
     return FGAbelianGroup.free(a.block_count), FGAbelianGroup.trivial()
-
-
-def k0_map(f: MultMorphism) -> IntMatrix:
-    """Matrix of the induced map on even theory groups: the multiplicity
-    matrix, which is exactly what K0 sees."""
-    return f.mult

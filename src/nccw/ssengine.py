@@ -1,11 +1,11 @@
 """Spectral-sequence engine: pages, differentials, E-infinity, assembly.
 
 Bigraded pages are stored sparsely and 2-periodically: an entry lives at
-``(p, q mod 2)``; whatever is absent is the zero group.  The differential
-raises filtration degree: on page ``r`` it maps ``(p, q)`` to
-``(p + r, q - r + 1)``.  The homological indexing used in
-the literature is recovered by relabeling ``p`` to ``k - p``, which the
-command line does on request for display only.
+``(p, q mod 2)``; an absent entry is the zero group, an absent
+differential the zero map.  On page ``r`` the differential maps ``(p, q)``
+to ``(p + r, q - r + 1)``, as :meth:`Page.step` says.  The homological
+indexing used in the literature is recovered by relabeling ``p`` to
+``k - p``, which the command line does on request for display only.
 
 Entries are finitely generated abelian groups in canonical form.  Maps
 between entries are integer matrices on the canonical generators, which
@@ -32,6 +32,7 @@ from .exacthom import (
     intmat,
     presented_subquotient,
     relation_matrix,
+    zeros,
 )
 from .findim import THEORY_HP, ring_of
 from .frozen import Frozen, Value
@@ -85,8 +86,18 @@ class Page(Frozen):
         """The entry at ``(p, q)``; only ``q mod 2`` matters."""
         return self.entries.get((p, q % 2), FGAbelianGroup.trivial())
 
-    def differential_out(self, p: int, parity: int) -> IntMatrix | None:
-        return self.differentials.get((p, parity % 2))
+    def step(self, p: int, parity: int, by: int = 1) -> tuple[int, int]:
+        """Where ``by`` applications of d^r take ``(p, parity)``; a negative
+        ``by`` goes back.  The one place that says where d^r lands."""
+        return p + by * self.r, (parity - by * (self.r - 1)) % 2
+
+    def differential_out(self, p: int, parity: int) -> IntMatrix:
+        """d^r out of ``(p, parity)``; where none is recorded, the zero map
+        of shape (target generators, source generators)."""
+        key = (p, parity % 2)
+        if key in self.differentials:
+            return self.differentials[key]
+        return zeros(self.entry(*self.step(p, parity)).ngens, self.entry(p, parity).ngens)
 
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.entries.keys())
@@ -119,19 +130,18 @@ class SpectralSequence(Frozen):
 
 
 class Assembly(Value):
-    """Filtration pieces of one total parity and their direct sum ``group``.
+    """Filtration pieces of one total parity, which :func:`assemble` gives
+    by position, and their direct sum ``group``.
 
     ``note`` is ``exact`` when the pieces force the group (at most one
     nonzero piece, or every piece torsion-free) and ``up_to_extension``
     when the sum is only one of the groups with these pieces."""
 
-    parity: str
     pieces: tuple[FGAbelianGroup, ...]
     group: FGAbelianGroup
     note: str
 
-    def __init__(self, parity, pieces, group, note):
-        object.__setattr__(self, "parity", parity)
+    def __init__(self, pieces, group, note):
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "note", note)
@@ -163,12 +173,11 @@ def _turned_entry(ss: SpectralSequence, page: Page, p: int, parity: int) -> FGAb
     """ker/im at one entry of a page ``r >= 2``.  HP entries are free, so
     their integer subquotient differs from the rational one by torsion
     only, and its free rank is the dimension over Q."""
-    r = page.r
     g = presented_subquotient(
         generator_orders(page.entry(p, parity)),
         page.differential_out(p, parity),
-        generator_orders(page.entry(p + r, parity - r + 1)),
-        page.differential_out(p - r, (parity + r - 1) % 2),
+        generator_orders(page.entry(*page.step(p, parity))),
+        page.differential_out(*page.step(p, parity, -1)),
     )
     return FGAbelianGroup.free(g.free_rank) if ss.theory == THEORY_HP else g
 
@@ -208,36 +217,33 @@ def set_higher_differential(
 
     The matrix acts on canonical generators (free part first, then
     torsion factors).  It must respect the torsion relations on both
-    sides and compose to zero with any adjacent recorded differential;
+    sides and compose to zero with the differentials on either side;
     otherwise ``NotACocycleMap``.  Pages beyond ``r`` are discarded since
     they would be stale; a zero matrix restores the default.
     """
     if r < 2:
         raise OutOfRange("only differentials on pages r >= 2 may be overridden")
     page = ss.page(r)
-    parity = q % 2
     src = page.entry(p, q)
-    dst = page.entry(p + r, q - r + 1)
+    dst = page.entry(*page.step(p, q))
     mat = intmat(mat)
     if mat.shape != (dst.ngens, src.ngens):
         raise ShapeMismatch(
             f"differential at ({p},{q}) must be {(dst.ngens, src.ngens)}, got {mat.shape}"
         )
     diffs = dict(page.differentials)
-    key = (p, parity)
+    key = (p, q % 2)
     if mat.is_zero:
         diffs.pop(key, None)
     else:
         dst_orders = generator_orders(dst)
         source_relations = relation_matrix(generator_orders(src))
         _check_composite_zero(mat, source_relations, dst_orders, "the source relations")
-        nxt = page.differential_out(p + r, (parity - r + 1) % 2)
-        if nxt is not None:
-            after = page.entry(p + 2 * r, q - 2 * r + 2)
-            _check_composite_zero(nxt, mat, generator_orders(after), "the next differential")
-        prev = page.differential_out(p - r, (parity + r - 1) % 2)
-        if prev is not None:
-            _check_composite_zero(mat, prev, dst_orders, "the previous differential")
+        nxt = page.differential_out(*page.step(p, q))
+        after = generator_orders(page.entry(*page.step(p, q, 2)))
+        _check_composite_zero(nxt, mat, after, "the next differential")
+        prev = page.differential_out(*page.step(p, q, -1))
+        _check_composite_zero(mat, prev, dst_orders, "the previous differential")
         diffs[key] = mat
     idx = r - ss.pages[0].r
     new_page = Page(r, ss.k, ss.theory, dict(page.entries), diffs)
@@ -267,7 +273,7 @@ def assemble(ss: SpectralSequence) -> tuple[Assembly, Assembly]:
     """
     stable = e_infinity(ss)
     out = []
-    for t, parity in ((PARITY_EVEN, "even"), (PARITY_ODD, "odd")):
+    for t in (PARITY_EVEN, PARITY_ODD):
         pieces = []
         for p in range(ss.k + 1):
             g = stable.entry(p, t - p)
@@ -276,7 +282,7 @@ def assemble(ss: SpectralSequence) -> tuple[Assembly, Assembly]:
         forced = len(pieces) <= 1 or all(not g.torsion for g in pieces)
         note = ASSEMBLY_EXACT if forced else ASSEMBLY_UP_TO_EXTENSION
         group = FGAbelianGroup.trivial().direct_sum(*pieces)
-        out.append(Assembly(parity, tuple(pieces), group, note))
+        out.append(Assembly(tuple(pieces), group, note))
     return tuple(out)
 
 

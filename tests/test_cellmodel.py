@@ -38,11 +38,11 @@ from conftest import (
 class TestBuild:
     def test_point(self):
         x = point_model()
-        assert x.cell_counts == (1,)
+        assert x.cochain.ranks == (1,)
 
     def test_circle(self):
         x = circle_model()
-        assert x.cell_counts == (1, 1)
+        assert x.cochain.ranks == (1, 1)
         assert x.cochain.differentials[0].tolist() == [[0]]
 
     def test_dd_violation(self):
@@ -140,7 +140,7 @@ class TestFromClassicalCW:
 
     def test_sphere(self):
         x = sphere_cw()
-        assert x.cell_counts == (1, 0, 1)
+        assert x.cochain.ranks == (1, 0, 1)
         assert all(d.is_zero for d in x.cochain.differentials)
 
     def test_torus_against_homology_oracle(self):
@@ -148,7 +148,7 @@ class TestFromClassicalCW:
         h = snf_homology_oracle([1, 2, 1], boundaries)
         assert h[1] == FGAbelianGroup.free(2)
         x = from_classical_cw([1, 2, 1], boundaries)
-        assert x.cell_counts == (1, 2, 1)
+        assert x.cochain.ranks == (1, 2, 1)
 
     def test_transposition_round_trip(self):
         rng = random.Random(19)
@@ -176,15 +176,15 @@ class TestFromClassicalCW:
 class TestSkeleton:
     def test_full_skeleton_is_identity(self):
         x = projective_plane_cw()
-        assert skeleton(x, 2).cell_counts == x.cell_counts
+        assert skeleton(x, 2).cochain.ranks == x.cochain.ranks
 
     def test_point_of_circle(self):
         sk = skeleton(circle_model(), 0)
-        assert sk.cell_counts == (1,) and sk.top_dimension == 0
+        assert sk.cochain.ranks == (1,) and sk.cochain.top_degree == 0
 
     def test_circle_of_rp2(self):
         sk = skeleton(projective_plane_cw(), 1)
-        assert sk.cell_counts == (1, 1)
+        assert sk.cochain.ranks == (1, 1)
         assert sk.cochain.differentials[0].tolist() == [[0]]
 
     def test_out_of_range(self):
@@ -204,7 +204,7 @@ class TestEulerCharacteristic:
         rng = random.Random(14)
         for _ in range(15):
             x = random_stage1_complex(rng)
-            assert euler_characteristic(x) == x.cell_counts[0] - x.cell_counts[1]
+            assert euler_characteristic(x) == x.cochain.ranks[0] - x.cochain.ranks[1]
 
 
 class TestStageValidation:
@@ -279,8 +279,8 @@ class TestDdCheckedOnce:
             return [((ranks[p + 2], ranks[p + 1]), (ranks[p + 1], ranks[p]))
                     for p in range(len(ranks) - 2)]
 
-        assert model.cell_counts == (7, 21, 35, 35, 21, 7)
-        assert calls == pairs(model.cell_counts) + pairs(reduced.ranks)
+        assert model.cochain.ranks == (7, 21, 35, 35, 21, 7)
+        assert calls == pairs(model.cochain.ranks) + pairs(reduced.ranks)
 
     def test_ring_change_checks_nothing(self, monkeypatch):
         import nccw.exacthom

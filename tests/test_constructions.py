@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
@@ -6,7 +9,6 @@ from nccw.cellmodel import cochain_complex
 from nccw.constructions import (
     CellularMorphism,
     mapping_cone_complex,
-    mapping_cylinder,
     relative_assemblies,
     suspend,
 )
@@ -19,6 +21,7 @@ from nccw.exacthom import (
     intmat,
     zeros,
 )
+from nccw.cli import main
 from nccw.ssengine import compute_theories
 
 from conftest import (
@@ -100,14 +103,37 @@ class TestCone:
         assert even.group == odd.group == FGAbelianGroup.trivial()
 
 
-class TestMappingCylinder:
-    def test_identity_on_circle(self):
-        circ = cochain_complex(circle_model(), "K")
-        model, embedded = mapping_cylinder(CellularMorphism.identity_on(circ))
-        assert groups_of(model) == groups_of(circ)
-        assert embedded.src == circ and embedded.dst == model
+def complex_file(c):
+    """A complex file holding ``c`` as provided coboundaries."""
+    stages = [{"dim": 0, "algebra": [1] * c.rank(0)}]
+    for p, d in enumerate(c.differentials):
+        stages.append({"dim": p + 1, "F": [1] * c.rank(p + 1), "delta": d.tolist()})
+    return {"stages": stages}
 
-    def test_theories_equal_codomain(self):
+
+def cylinder_groups(tmp_path, f):
+    """``transform --op cylinder --json`` along ``f``: the morphism file is
+    parsed, its squares checked, and the codomain's theories reported."""
+    src, mapping = tmp_path / "src.json", tmp_path / "map.json"
+    src.write_text(json.dumps(complex_file(f.src)))
+    maps = [m.tolist() for m in f.maps]
+    mapping.write_text(json.dumps({"dst": complex_file(f.dst), "maps": maps}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["transform", str(src), "--op", "cylinder", "--map", str(mapping), "--json"])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    return payload["even"]["group"], payload["odd"]["group"]
+
+
+class TestMappingCylinder:
+    # the cylinder deformation retracts onto the codomain, so the command
+    # line reports the codomain's theories
+    def test_identity_on_circle(self, tmp_path):
+        circ = cochain_complex(circle_model(), "K")
+        assert cylinder_groups(tmp_path, CellularMorphism.identity_on(circ)) == ("Z", "Z")
+
+    def test_theories_equal_codomain(self, tmp_path):
         rng = random.Random(73)
         for _ in range(15):
             src = random_cochain_complex(rng, max_k=2, max_rank=3)
@@ -118,16 +144,18 @@ class TestMappingCylinder:
                 m = [[int(i == j) for j in range(src.rank(p))] for i in range(dst.rank(p))]
                 maps.append(intmat(m, shape=(dst.rank(p), src.rank(p))))
             f = CellularMorphism(src, dst, maps)
-            model, embedded = mapping_cylinder(f)
-            assert groups_of(model) == groups_of(dst)
-            # the embedded record is f itself, not a re-checked copy
-            assert model is dst and embedded is f
+            even, odd = groups_of(dst)
+            assert cylinder_groups(tmp_path, f) == (even.render("Z"), odd.render("Z"))
 
-    def test_invalid_morphism_propagates(self):
-        src = CochainComplex("Z", [1, 1], [intmat([[1]])])
-        dst = CochainComplex("Z", [1, 1], [intmat([[2]])])
-        with pytest.raises(InvalidMorphism):
-            mapping_cylinder(CellularMorphism(src, dst, [identity(1), identity(1)]))
+    def test_invalid_morphism_propagates(self, tmp_path, capsys):
+        src, mapping = tmp_path / "src.json", tmp_path / "map.json"
+        src.write_text(json.dumps({"stages": [
+            {"dim": 0, "algebra": [1]}, {"dim": 1, "F": [1], "delta": [[1]]}]}))
+        dst = {"stages": [{"dim": 0, "algebra": [1]}, {"dim": 1, "F": [1], "delta": [[2]]}]}
+        mapping.write_text(json.dumps({"dst": dst, "maps": [[[1]], [[1]]]}))
+        code = main(["transform", str(src), "--op", "cylinder", "--map", str(mapping)])
+        err = capsys.readouterr().err
+        assert code == 1 and err == "error: commuting square fails between degrees 0 and 1\n"
 
 
 class TestMappingCone:

@@ -342,12 +342,12 @@ class TestPresentedSubquotient:
 
     def test_torsion_source(self):
         # multiplication by 2 from Z/2 into Z/4 has trivial kernel
-        got = presented_subquotient([2], intmat([[2]]), [4], None)
+        got = presented_subquotient([2], intmat([[2]]), [4], zeros(1, 0))
         assert got.is_trivial
 
     def test_torsion_quotient(self):
         # Z mod the image of multiplication by 6
-        got = presented_subquotient([0], None, [], intmat([[6]]))
+        got = presented_subquotient([0], zeros(0, 1), [], intmat([[6]]))
         assert got == FGAbelianGroup.cyclic(6)
 
     @pytest.mark.parametrize(
@@ -362,7 +362,8 @@ class TestPresentedSubquotient:
         ],
     )
     def test_inconsistent_maps_refused(self, out_map, out_orders, in_map, message):
-        out_map = None if out_map is None else intmat(out_map)
-        in_map = None if in_map is None else intmat(in_map)
+        # None in the table marks a zero map
+        out_map = zeros(len(out_orders), 1) if out_map is None else intmat(out_map)
+        in_map = zeros(1, 0) if in_map is None else intmat(in_map)
         with pytest.raises(ShapeMismatch, match=message):
             presented_subquotient([0], out_map, out_orders, in_map)

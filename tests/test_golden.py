@@ -13,7 +13,10 @@ coefficient cohomology still ran Smith normal form on a block-diagonal
 expansion of the base and the cone was a hand-built trivial answer.  They
 also hold ``transform --op suspend``, whose complex file has an empty
 ``algebra`` and empty ``delta`` rows, as written by ``json.dumps(...,
-indent=2)`` before ``--json`` output got its own writer.
+indent=2)`` before ``--json`` output got its own writer, and
+``transform --op cylinder`` and ``--op mapcone`` along the inclusion of a
+point into the circle, as written while the cylinder still went through
+a ``mapping_cylinder`` alias that returned the codomain.
 """
 
 import os
@@ -49,6 +52,11 @@ def suspend(name):
     return ["transform", source(name), "--op", "suspend"]
 
 
+def along_map(op, name, morphism, theory):
+    return ["transform", source(name), "--op", op, "--map", source(morphism),
+            "--theory", theory, "--json"]
+
+
 CLI_CASES = {
     "fibration_torus_k": fibration("torus", "Z+Z/2", "Z/6", "k"),
     "fibration_rp2_k": fibration("rp2", "Z+Z/2", "Z/6", "k"),
@@ -65,6 +73,10 @@ CLI_CASES = {
     "suspend_i2": suspend("i2"),
     "suspend_rp2": suspend("rp2"),
     "suspend_torus": suspend("torus"),
+    "cylinder_point_k": along_map("cylinder", "point", "point_to_circle", "k"),
+    "cylinder_point_hp": along_map("cylinder", "point", "point_to_circle", "hp"),
+    "mapcone_point_k": along_map("mapcone", "point", "point_to_circle", "k"),
+    "mapcone_point_hp": along_map("mapcone", "point", "point_to_circle", "hp"),
 }
 
 

@@ -68,9 +68,9 @@ RECORDS = {
         lambda: SpectralSequence("K", 1, (_page(),)), "pages", lambda: SpectralSequence("K", 1)
     ),
     "Assembly": (
-        lambda: Assembly("even", (_group(),), _group(), "exact"),
+        lambda: Assembly((_group(),), _group(), "exact"),
         "group",
-        lambda: Assembly("even", (), FGAbelianGroup()),
+        lambda: Assembly((), FGAbelianGroup()),
     ),
     "CellularMorphism": (
         lambda: CellularMorphism.identity_on(_complex()),
@@ -127,8 +127,8 @@ def test_defaults_and_keywords():
     assert page.source is None
     assert SpectralSequence(theory="K", k=1, pages=(page,)).current_r == 2
     g = _group()
-    a = Assembly(parity="odd", pieces=(g,), group=g, note="exact")
-    assert (a.parity, a.pieces, a.group, a.note) == ("odd", (g,), g, "exact")
+    a = Assembly(pieces=(g,), group=g, note="exact")
+    assert (a.pieces, a.group, a.note) == ((g,), g, "exact")
     c = _complex()
     assert CellularMorphism(src=c, dst=c, maps=[identity(1)]).map_at(1).shape == (1, 1)
     fib = SerreFibrationData(c, g, g, "K")
@@ -159,9 +159,9 @@ def test_constructor_checks_keep_their_messages():
         (FGAbelianGroup(1, [2]), FGAbelianGroup(1, (2,)), (1, (2,))),
         (FinDimAlgebra([1, 2]), FinDimAlgebra((1, 2)), ((1, 2),)),
         (
-            Assembly("even", (FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
-            Assembly("even", (FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
-            ("even", (FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
+            Assembly((FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
+            Assembly((FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
+            ((FGAbelianGroup(1),), FGAbelianGroup(1), "exact"),
         ),
     ],
     ids=["FGAbelianGroup", "FinDimAlgebra", "Assembly"],
@@ -179,8 +179,8 @@ def test_value_types_differ_when_a_field_differs():
     assert FGAbelianGroup(1) != FGAbelianGroup(2)
     assert FinDimAlgebra([1, 2]) != FinDimAlgebra([2, 1])
     g = FGAbelianGroup(1)
-    assert Assembly("even", (g,), g, "exact") != Assembly("odd", (g,), g, "exact")
-    assert Assembly("even", (g,), g, "exact") != Assembly("even", (g,), g, "up_to_extension")
+    assert Assembly((g,), g, "exact") != Assembly((g,), g, "up_to_extension")
+    assert Assembly((g,), g, "exact") != Assembly((g, g), g, "exact")
 
 
 def test_fibration_data_compares_by_fields():
@@ -209,9 +209,8 @@ def test_value_type_reprs_list_their_fields():
     assert repr(FGAbelianGroup(1, (2,))) == "FGAbelianGroup(free_rank=1, torsion=(2,))"
     assert repr(FinDimAlgebra([1, 2])) == "FinDimAlgebra(sizes=(1, 2))"
     g = FGAbelianGroup()
-    assert repr(Assembly("odd", (), g, "exact")) == (
-        "Assembly(parity='odd', pieces=(), group=FGAbelianGroup(free_rank=0, torsion=()),"
-        " note='exact')"
+    assert repr(Assembly((), g, "exact")) == (
+        "Assembly(pieces=(), group=FGAbelianGroup(free_rank=0, torsion=()), note='exact')"
     )
     assert repr(SerreFibrationData(_complex(), g, g, "K")) == (
         "SerreFibrationData(base=CochainComplex(ring=Z, ranks=[1, 1]),"
@@ -242,7 +241,7 @@ def test_checked_complex_cannot_be_reassigned_past_its_check():
     tower = build([NCCWStage(0, _alg())])
     with pytest.raises(AttributeError):
         tower.cochain = c
-    assert tower.cell_counts == (2,)
+    assert tower.cochain.ranks == (2,)
 
 
 # (file name, class) pairs allowed to define equality or hashing

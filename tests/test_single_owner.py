@@ -2,8 +2,10 @@
 
 The theory's ring (Z for K, Q for HP) and the refusal of an unknown
 theory live in ``findim.ring_of``; the engine, the fibration module and
-the command line take rings from there.  A tower keeps its coboundaries
-only as the differentials of its cochain complex.  Indented JSON has one
+the command line take rings from there.  A tower keeps its coboundaries,
+cell counts and top dimension only in its cochain complex.  An absent
+differential is a zero matrix, never None, and ``Page.step`` alone says
+where d^r lands.  Indented JSON has one
 writer, ``cli._indented``: an ``indent=`` argument would send the json
 module to its pure-Python encoder.  ``cli.page_payload`` hands the
 differentials on as matrices; only the output fills in their zeros.
@@ -57,10 +59,53 @@ def test_engine_fibration_and_cli_name_no_ring():
 
 
 def test_tower_keeps_coboundaries_only_in_its_cochain_complex():
-    assert tuple(NCCWComplex.__annotations__) == ("stages", "cochain", "cell_counts")
+    assert tuple(NCCWComplex.__annotations__) == ("stages", "cochain")
     x = from_classical_cw([1, 1], [[[0]]])
-    assert not hasattr(x, "coboundaries")
+    assert not hasattr(x, "coboundaries") and not hasattr(x, "top_dimension")
     assert x.cochain.differentials[0].tolist() == [[0]]
+    # read, not stored, for the benchmark's cell count
+    assert x.cell_counts is x.cochain.ranks
+
+
+def _functions(name):
+    return {
+        node.name: node for node in ast.walk(ast.parse(_source(name)))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_no_none_stands_for_a_map():
+    # an absent differential is the zero matrix of its shape, so nothing
+    # hands ``presented_subquotient`` a None
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(_source(name))):
+            if isinstance(node, ast.Call) and "presented_subquotient" in ast.unparse(node.func):
+                assert not [a for a in node.args if ast.unparse(a) == "None"], (name, node.lineno)
+    args = _functions("exacthom.py")["presented_subquotient"].args.args
+    assert {a.arg: ast.unparse(a.annotation) for a in args if a.arg.endswith("_map")} == {
+        "out_map": "IntMatrix", "in_map": "IntMatrix"
+    }
+    assert ast.unparse(_functions("ssengine.py")["differential_out"].returns) == "IntMatrix"
+
+
+@pytest.mark.parametrize("name", ["ssengine.py", "cli.py"])
+def test_only_page_step_says_where_d_r_lands(name):
+    # arithmetic that mixes the page number with a position is the
+    # bidegree of d^r, and ``Page.step`` alone writes it
+    tree = ast.parse(_source(name))
+    steps = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "step"]
+    inside = {id(n) for step in steps for n in ast.walk(step)}
+    mixed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and id(node) not in inside:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if "r" in names and names & {"p", "q", "parity"}:
+                mixed.append((node.lineno, ast.unparse(node)))
+    assert mixed == []
+    assert len(steps) == (1 if name == "ssengine.py" else 0)
 
 
 def test_no_json_call_indents():

@@ -229,8 +229,53 @@ class TestSetHigherDifferential:
     def test_image_inside_torsion_entry(self):
         from nccw.exacthom import presented_subquotient
 
-        got = presented_subquotient([2], None, [], intmat([[1]]))
+        got = presented_subquotient([2], zeros(0, 1), [], intmat([[1]]))
         assert got.is_trivial
+
+
+class TestPageStep:
+    """``Page.step`` is where d^r lands; ``differential_out`` is the zero
+    map of the right shape wherever no differential is recorded."""
+
+    @staticmethod
+    def page(r):
+        if r == 1:
+            return from_cellular(i2_complex(), "K").pages[0]
+        return Page(r, 4, "K", {}, {})
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_stepping_back_undoes_a_step(self, r):
+        page = self.page(r)
+        for p in range(-3, 4):
+            for parity in (PARITY_EVEN, PARITY_ODD):
+                assert page.step(*page.step(p, parity, 1), -1) == (p, parity)
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_agrees_with_the_bidegree_of_d_r(self, r):
+        page = self.page(r)
+        for p in range(-2, 3):
+            for q in range(-4, 5):
+                assert page.step(p, q) == (p + r, (q - r + 1) % 2)
+                assert page.step(p, q, 2) == (p + 2 * r, (q - 2 * r + 2) % 2)
+                assert page.step(p, q, -1) == (p - r, (q + r - 1) % 2)
+
+    def test_absent_differential_is_zero_of_target_by_source_shape(self):
+        entries = {
+            (0, PARITY_EVEN): FGAbelianGroup(1, (2,)),
+            (2, PARITY_ODD): FGAbelianGroup.free(3),
+        }
+        page = Page(2, 4, "K", entries, {})
+        for p, q, shape in ((0, 0, (3, 2)), (0, 2, (3, 2)), (2, 1, (0, 3)),
+                            (0, 1, (0, 0)), (-2, -1, (2, 0))):
+            d = page.differential_out(p, q)
+            assert d.is_zero and d.shape == shape, (p, q)
+
+    def test_recorded_differential_is_returned(self):
+        d = intmat([[1, 0], [0, 0], [0, 0]])
+        page = Page(2, 4, "K", {(0, PARITY_EVEN): FGAbelianGroup(1, (2,)),
+                                (2, PARITY_ODD): FGAbelianGroup.free(3)},
+                    {(0, PARITY_EVEN): d})
+        assert page.differential_out(0, 2) is d
 
 
 class TestFromE2Page:
@@ -273,7 +318,7 @@ class TestAssemble:
         real = nccw.ssengine.e_infinity
         monkeypatch.setattr(nccw.ssengine, "e_infinity", lambda ss: calls.append(ss) or real(ss))
         even, odd = assemble(from_cellular(i2_complex(), "K"))
-        assert (even.parity, odd.parity) == ("even", "odd")
+        assert (even.group, odd.group) == (Z, FGAbelianGroup.cyclic(2))
         assert len(calls) == 1
 
     def test_i2_single_pieces_resolve(self):
