@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nccw.cellmodel import cochain_complex
+from nccw.cli import main
 from nccw.constructions import (
     CellularMorphism,
     mapping_cone_complex,
@@ -21,7 +22,6 @@ from nccw.exacthom import (
     intmat,
     zeros,
 )
-from nccw.cli import main
 from nccw.ssengine import compute_theories
 
 from conftest import (
