@@ -11,10 +11,20 @@ Subcommands
     other operations emit a result file.
 ``fibration --base PATH (--coeff-even S --coeff-odd S | --map PATH --total PATH) [--theory] [--json]``
     Coefficient spectral sequence over a base: dumps the second page and
-    the assembled totals.
+    the assembled totals.  The two modes do not mix.
 
 Exit codes: 0 success, 1 domain or validation error, 2 parse error (of a
 file or of the command line).  Each failure prints one ``error:`` line.
+
+``COMMANDS`` is the one table of the subcommands, their positionals and
+their long options, and ``_Parser`` reads a command line against it with
+argparse's grammar: ``--opt value`` and ``--opt=value``; a unique prefix
+of a long option names it and an ambiguous one is refused; ``--`` ends
+the options, also when nothing follows it, and a lone ``-`` is a value;
+the last of a repeated option wins; a flag given ``=value`` is refused.
+Arguments are read left to right, and ``-h`` or ``--help`` prints help
+made from the same table and raises ``SystemExit(0)`` when it is reached.
+A refusal is one ``error: nccw <cmd>: ...`` line.
 
 File formats (JSON, integers only, no floats anywhere):
 
@@ -47,11 +57,12 @@ tower height.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import cellmodel, constructions, fibration, ssengine
 from .errors import NCCWError, OutOfRange, ShapeMismatch
@@ -76,10 +87,15 @@ class FileFormatError(Exception):
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        fh = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ``open`` refuses a NUL byte, or what the file system encoding
+        # cannot encode, before it reads anything
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        with fh:
             return json.load(fh)
-    except (OSError, UnicodeEncodeError) as exc:
-        # a path the file system encoding cannot encode fails in ``open``
+    except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         # undecodable text, bad syntax, or an integer literal longer than
@@ -483,13 +499,16 @@ def cmd_transform(args) -> int:
         even, odd = ssengine.compute_theories(morphism.dst, theory)
         emit(result_payload(f"cylinder({name})", theory, even, odd), args.json)
         return EXIT_OK
-    # argparse's choices leave "mapcone" as the only other operation
+    # the table's choices leave "mapcone" as the only other operation
     even, odd = constructions.relative_assemblies(morphism, theory)
     emit(result_payload(f"mapcone({name})", theory, even, odd), args.json)
     return EXIT_OK
 
 
 def cmd_fibration(args) -> int:
+    coefficients = args.coeff_even is not None or args.coeff_odd is not None
+    if coefficients and (args.map is not None or args.total is not None):
+        raise FileFormatError("give --coeff-even and --coeff-odd, or --map with --total, not both")
     base_name, base_model = load_complex(args.base)
     theory = _theory(args)
     base = cellmodel.cochain_complex(base_model, theory)
@@ -516,57 +535,197 @@ def cmd_fibration(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one ``error:`` line (exit 2) instead
-    of a usage block; ``-h`` still prints help and exits 0."""
+# ---------------------------------------------------------------------------
+# the command line, as one table
 
-    def error(self, message):
-        raise FileFormatError(f"{self.prog}: {message}")
+# An option is (flag, dest, takes a value, choices or None, required, help).
+# A flag that takes no value defaults to False and any other option to None,
+# unless its subcommand's defaults say otherwise.
+_THEORY = ("--theory", "theory", True, ("k", "hp"), False, "k (the default) or hp")
+_PAPER_INDEXING = ("--paper-indexing", "paper_indexing", False, None, False,
+                   "print p as the paper counts it, p -> k - p")
+_JSON = ("--json", "json", False, None, False, "print the result as indented JSON")
+
+# subcommand -> (help, positionals, options, defaults)
+COMMANDS = {
+    "validate": ("parse and validate a complex file", ("path",), (), {"func": cmd_validate}),
+    "compute": (
+        "assemble theory groups of a complex",
+        ("path",),
+        (_THEORY,
+         ("--pages", "pages", False, None, False, "dump every page up to E^(k+1)"),
+         _PAPER_INDEXING,
+         _JSON),
+        {"func": cmd_compute, "theory": "k"},
+    ),
+    "transform": (
+        "suspend, cone, cylinder or mapping cone",
+        ("path",),
+        (("--op", "op", True, ("suspend", "cone", "cylinder", "mapcone"), True,
+          "the construction"),
+         ("--map", "map", True, None, False, "morphism file (cylinder and mapcone)"),
+         _THEORY,
+         _JSON),
+        {"func": cmd_transform, "theory": "k", "total": None},
+    ),
+    "fibration": (
+        "coefficient spectral sequence over a base",
+        (),
+        (("--base", "base", True, None, True, "base complex file"),
+         ("--coeff-even", "coeff_even", True, None, False,
+          "even coefficient group (with --coeff-odd)"),
+         ("--coeff-odd", "coeff_odd", True, None, False, "odd coefficient group"),
+         ("--map", "map", True, None, False,
+          "morphism file from the base into the total model (instead of coefficients)"),
+         ("--total", "total", True, None, False, "total complex file (with --map)"),
+         _THEORY,
+         ("--not-simple", "not_simple", False, None, False,
+          "declare the local coefficients non-simple, which is refused"),
+         _PAPER_INDEXING,
+         _JSON),
+        {"func": cmd_fibration, "theory": "k"},
+    ),
+}
+
+_HELP = ("help", False, None)  # what -h and --help resolve to
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nccw",
-        description="Exact K-theory and periodic cyclic homology of NCCW complexes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _refusal(prog: str, message: str) -> FileFormatError:
+    return FileFormatError(f"{prog}: {message}")
 
-    p = sub.add_parser("validate", help="parse and validate a complex file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("compute", help="assemble theory groups of a complex")
-    p.add_argument("path")
-    p.add_argument("--theory", choices=["k", "hp"], default="k")
-    p.add_argument("--pages", action="store_true", help="dump every page up to E^(k+1)")
-    p.add_argument("--paper-indexing", action="store_true", dest="paper_indexing")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compute)
+def _resolve(flags: dict, arg: str, prog: str):
+    """What ``arg``, read before ``--``, is: None for a value, else
+    ``(option, flag, explicit value or None)`` with ``option`` None for a
+    flag the table does not know.  A unique prefix of a long flag names it
+    and an ambiguous one is refused; ``-``, a negative number and text with
+    a space are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    option = flags.get(arg)
+    if option is not None:
+        return option, arg, None
+    flag, eq, explicit = arg.partition("=")
+    if not eq:
+        explicit = None
+    elif flag in flags:
+        return flags[flag], flag, explicit
+    if arg[1] == "-":
+        matches = [f for f in flags if f.startswith(flag)]
+        if len(matches) > 1:
+            raise _refusal(prog, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], matches[0], explicit
+    # a pattern compiled at import would cost every process about 0.3 ms
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, arg, None
 
-    p = sub.add_parser("transform", help="suspend, cone, cylinder or mapping cone")
-    p.add_argument("path")
-    p.add_argument("--op", choices=["suspend", "cone", "cylinder", "mapcone"], required=True)
-    p.add_argument("--map", help="morphism file (cylinder and mapcone)")
-    p.add_argument("--theory", choices=["k", "hp"], default="k")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_transform, total=None)
 
-    p = sub.add_parser("fibration", help="coefficient spectral sequence over a base")
-    p.add_argument("--base", required=True)
-    p.add_argument("--coeff-even", dest="coeff_even")
-    p.add_argument("--coeff-odd", dest="coeff_odd")
-    p.add_argument("--map", help="morphism file from the base into the total model")
-    p.add_argument("--total", help="total complex file (with --map)")
-    p.add_argument("--theory", choices=["k", "hp"], default="k")
-    p.add_argument("--not-simple", action="store_true", dest="not_simple")
-    p.add_argument("--paper-indexing", action="store_true", dest="paper_indexing")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fibration)
-    return parser
+class _Parser:
+    """Reads a command line against ``COMMANDS``, left to right.  A refusal
+    raises ``FileFormatError`` (one ``error:`` line, exit 2); ``-h`` prints
+    help when it is reached and raises ``SystemExit(0)``."""
+
+    def __init__(self, commands: dict):
+        self.commands = commands
+        # before the subcommand only -h and --help are known
+        self.flags = {None: {"-h": _HELP, "--help": _HELP}}
+        self.values = {}
+        for name, (_, _, options, defaults) in commands.items():
+            flags = self.flags[name] = dict(self.flags[None])
+            values = self.values[name] = {"command": name}
+            for flag, dest, takes_value, choices, _, _ in options:
+                flags[flag] = (dest, takes_value, choices)
+                values[dest] = None if takes_value else False
+            values.update(defaults)
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        """The namespace of ``argv``; the last of a repeated option wins."""
+        argv = sys.argv[1:] if argv is None else list(argv)
+        name, prog, flags, values, free = None, "nccw", self.flags[None], None, []
+        i, end = 0, len(argv)
+        while i < end:
+            arg = argv[i]
+            i += 1
+            if arg == "--" and name is not None:
+                free += argv[i:]
+                break
+            resolved = None if arg == "--" else _resolve(flags, arg, prog)
+            if resolved is None:
+                if name is not None:
+                    free.append(arg)
+                    continue
+                if arg not in self.commands:
+                    raise _refusal(prog, f"invalid command: {arg!r} "
+                                         f"(choose from {', '.join(self.commands)})")
+                name, prog, flags = arg, f"nccw {arg}", self.flags[arg]
+                values = dict(self.values[arg])
+                continue
+            option, flag, explicit = resolved
+            if option is None:
+                raise _refusal(prog, f"unrecognized arguments: {arg}")
+            dest, takes_value, choices = option
+            if not takes_value:
+                if explicit is not None:
+                    raise _refusal(prog,
+                                   f"argument {flag}: ignored explicit argument {explicit!r}")
+                if option is _HELP:
+                    print(self.help_text(name))
+                    raise SystemExit(0)
+                values[dest] = True
+                continue
+            if explicit is None:
+                if i == end or argv[i] == "--" or _resolve(flags, argv[i], prog) is not None:
+                    raise _refusal(prog, f"argument {flag}: expected one argument")
+                explicit = argv[i]
+                i += 1
+            if choices is not None and explicit not in choices:
+                raise _refusal(prog, f"argument {flag}: invalid choice: {explicit!r} "
+                                     f"(choose from {', '.join(choices)})")
+            values[dest] = explicit
+        if name is None:
+            raise _refusal(prog, "the following arguments are required: command")
+        _, positionals, options, _ = self.commands[name]
+        values.update(zip(positionals, free))
+        missing = list(positionals[len(free):])
+        missing += [flag for flag, dest, _, _, required, _ in options
+                    if required and values[dest] is None]
+        if missing:
+            raise _refusal(prog, f"the following arguments are required: {', '.join(missing)}")
+        if len(free) > len(positionals):
+            raise _refusal(prog, f"unrecognized arguments: {' '.join(free[len(positionals):])}")
+        return SimpleNamespace(**values)
+
+    def help_text(self, name) -> str:
+        if name is None:
+            rows = [(command, row[0]) for command, row in self.commands.items()]
+            usage = f"usage: nccw [-h] {{{','.join(self.commands)}}} ..."
+            lines = [usage, "", "Exact K-theory and periodic cyclic homology of NCCW complexes",
+                     "", "commands:"]
+            tail = ["", "Run nccw COMMAND -h for the options of one command."]
+        else:
+            summary, positionals, options, _ = self.commands[name]
+            words, rows = ["[-h]"], [("-h, --help", "show this help message and exit")]
+            for flag, dest, takes_value, choices, required, text in options:
+                if takes_value:
+                    flag += f" {{{','.join(choices)}}}" if choices else f" {dest.upper()}"
+                words.append(flag if required else f"[{flag}]")
+                rows.append((flag, text))
+            words += positionals
+            lines = [f"usage: nccw {name} {' '.join(words)}", "", summary, "", "options:"]
+            tail = []
+        width = max(len(first) for first, _ in rows) + 2
+        lines += [f"  {first:<{width}}{text}".rstrip() for first, text in rows]
+        return "\n".join(lines + tail)
+
+
+def build_parser() -> _Parser:
+    return _Parser(COMMANDS)
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     # built at the first call of ``main`` and kept for the process
     return build_parser()
 

@@ -11,9 +11,15 @@ block-diagonal free expansion whose plain cohomology needs no universal
 coefficient theorem.  Matrix arithmetic in the oracles runs on plain
 lists of rows (``tolist()``), never on the matrix type it is used to
 check.
+
+``reference_parser`` is the argparse parser the command line was once
+read with; ``tests/test_file_fuzz.py`` checks the table-driven parser of
+``nccw.cli`` against it.
 """
 
+import argparse
 import contextlib
+import functools
 import io
 import math
 import random
@@ -22,7 +28,14 @@ import pytest
 from hypothesis import strategies as st
 
 from nccw import cellmodel
-from nccw.cli import main
+from nccw.cli import (
+    FileFormatError,
+    cmd_compute,
+    cmd_fibration,
+    cmd_transform,
+    cmd_validate,
+    main,
+)
 from nccw.errors import ShapeMismatch
 from nccw.exacthom import (
     RING_Q,
@@ -425,3 +438,64 @@ def check_cli_contract(argv) -> int:
     else:
         assert err.getvalue() == "", argv
     return code
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise FileFormatError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """argparse's reading of the command line; ``parse_args`` refuses with
+    ``FileFormatError`` and prints help through ``SystemExit(0)``."""
+    parser = _ReferenceParser(
+        prog="nccw",
+        description="Exact K-theory and periodic cyclic homology of NCCW complexes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="parse and validate a complex file")
+    p.add_argument("path")
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("compute", help="assemble theory groups of a complex")
+    p.add_argument("path")
+    p.add_argument("--theory", choices=["k", "hp"], default="k")
+    p.add_argument("--pages", action="store_true", help="dump every page up to E^(k+1)")
+    p.add_argument("--paper-indexing", action="store_true", dest="paper_indexing")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_compute)
+
+    p = sub.add_parser("transform", help="suspend, cone, cylinder or mapping cone")
+    p.add_argument("path")
+    p.add_argument("--op", choices=["suspend", "cone", "cylinder", "mapcone"], required=True)
+    p.add_argument("--map", help="morphism file (cylinder and mapcone)")
+    p.add_argument("--theory", choices=["k", "hp"], default="k")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_transform, total=None)
+
+    p = sub.add_parser("fibration", help="coefficient spectral sequence over a base")
+    p.add_argument("--base", required=True)
+    p.add_argument("--coeff-even", dest="coeff_even")
+    p.add_argument("--coeff-odd", dest="coeff_odd")
+    p.add_argument("--map", help="morphism file from the base into the total model")
+    p.add_argument("--total", help="total complex file (with --map)")
+    p.add_argument("--theory", choices=["k", "hp"], default="k")
+    p.add_argument("--not-simple", action="store_true", dest="not_simple")
+    p.add_argument("--paper-indexing", action="store_true", dest="paper_indexing")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_fibration)
+    return parser
+
+
+def parse_outcome(parser, argv):
+    """``("ok", vars(namespace))``, ``("refused", None)`` or ``("exit", code)``
+    for one command line; help text is swallowed."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(parser.parse_args(argv))
+    except FileFormatError:
+        return "refused", None
+    except SystemExit as exc:
+        return "exit", exc.code

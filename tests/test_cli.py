@@ -17,6 +17,7 @@ from nccw import cellmodel, ssengine
 from nccw.cli import (
     FileFormatError,
     _indented,
+    build_parser,
     complex_payload,
     main,
     page_payload,
@@ -74,6 +75,13 @@ class TestExitCodes:
         assert code == 2 and out.getvalue() == ""
         text = raw.getvalue().decode("utf-8")
         assert text.startswith("error: cannot read \\ud800.json: ") and text.count("\n") == 1, text
+
+    def test_nul_byte_in_path_cannot_be_read(self, capsys):
+        # open() refuses the NUL byte before any byte is read, as it does
+        # the lone surrogate above
+        code, out, err = run(capsys, "compute", "a\x00b.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read a\x00b.json: ") and err.count("\n") == 1
 
     def test_size_overflow_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "overflow.json"
@@ -221,8 +229,12 @@ class TestFileFormatRefusals:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--map", fix("point_to_circle.json")], ["--coeff-even", "Z"]],
-        ids=["map_without_total", "one_coefficient"],
+        [["--map", fix("point_to_circle.json")], ["--coeff-even", "Z"],
+         ["--coeff-even", "Z", "--coeff-odd", "0", "--total", "/nonexistent"],
+         ["--coeff-even", "Z", "--coeff-odd", "0", "--map", fix("point_to_circle.json"),
+          "--total", fix("circle.json")]],
+        ids=["map_without_total", "one_coefficient", "coefficients_and_total",
+             "coefficients_and_map"],
     )
     def test_incomplete_fibration(self, extra):
         assert check_cli_contract(["fibration", "--base", fix("point.json"), *extra]) == 2
@@ -589,6 +601,62 @@ class TestParser:
         finally:
             nccw.cli._parser.cache_clear()
         assert calls == [1]
+
+
+def parsed(*argv):
+    return vars(build_parser().parse_args(list(argv)))
+
+
+class TestCommandLineGrammar:
+    """Examples of the grammar the table is read with;
+    ``tests/test_file_fuzz.py`` checks random command lines against
+    argparse."""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize(
+        "command", [[], ["validate"], ["compute"], ["transform"], ["fibration"]],
+        ids=["top", "validate", "compute", "transform", "fibration"],
+    )
+    def test_help_prints_usage_and_exits_zero(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(" ".join(["usage: nccw", *command, "[-h]"])) and err == ""
+
+    def test_help_is_read_where_it_stands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "x.json", "-h", "--pa"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: nccw compute")
+        code, out, err = run(capsys, "compute", "x.json", "--bogus", "-h")
+        assert (code, out) == (2, "")
+        assert err == "error: nccw compute: unrecognized arguments: --bogus\n"
+
+    def test_abbreviated_and_attached_values(self):
+        spelled = parsed("compute", "x.json", "--theory", "hp")
+        assert spelled["theory"] == "hp"
+        assert parsed("compute", "x.json", "--th", "hp") == spelled
+        assert parsed("compute", "x.json", "--theory=hp") == spelled
+
+    def test_prefix_unique_in_one_subcommand_only(self, capsys):
+        assert parsed("fibration", "--base", "b.json", "--pa")["paper_indexing"] is True
+        code, out, err = run(capsys, "compute", "x.json", "--pa")
+        assert code == 2 and out == ""
+        assert err == ("error: nccw compute: ambiguous option: --pa could match "
+                       "--pages, --paper-indexing\n")
+
+    def test_lone_dash_is_a_value(self):
+        assert parsed("fibration", "--base", "-")["base"] == "-"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "x.json"], ["compute", "x.json", "--paper-indexing"],
+         ["fibration", "--base", "b.json", "--json"]],
+    )
+    def test_trailing_double_dash_ends_the_options(self, argv):
+        # argparse accepted ``compute x.json --`` but refused the other two;
+        # here a trailing ``--`` always ends the options and changes nothing
+        assert parsed(*argv, "--") == parsed(*argv)
 
 
 class TestComplexSerialization:

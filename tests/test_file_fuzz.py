@@ -9,7 +9,9 @@ drawn from every subcommand, flag and value the parser knows, plus
 ambiguous abbreviations, stray values and missing files.  Every run must
 end in exit 0, 1 or 2 with at most one ``error:`` line; no exception may
 leave ``cli.main``.  Help is left out: ``-h`` prints it and exits 0
-through ``SystemExit``, as ``tests/test_cli.py`` checks.
+through ``SystemExit``, as ``tests/test_cli.py`` checks.  The same
+command lines must parse as they do with argparse (``reference_parser``
+in ``conftest.py``), except for a trailing ``--``.
 """
 
 import copy
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_cli_contract
+from conftest import check_cli_contract, parse_outcome, reference_parser
+from nccw.cli import build_parser
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -152,7 +155,7 @@ FLAGS = ["--theory", "--pages", "--paper-indexing", "--json", "--op", "--map", "
 VALUES = ["k", "hp", "K", "suspend", "cone", "cylinder", "mapcone", "Z", "Z/2+Z", "Q^2",
           "0", "Z^-1", "", POINT, TOTAL, os.path.join(FIXTURES, "rp2.json"),
           os.path.join(FIXTURES, "point_to_circle.json"),
-          os.path.join(FIXTURES, "no_such_file.json"), FIXTURES]
+          os.path.join(FIXTURES, "no_such_file.json"), FIXTURES, "-1", "--no such"]
 command_lines = st.builds(
     lambda first, rest: [first] + rest,
     st.one_of(st.sampled_from(SUBCOMMANDS), st.sampled_from(FLAGS + VALUES)),
@@ -164,3 +167,16 @@ command_lines = st.builds(
 @given(command_lines)
 def test_random_command_lines_never_escape(argv):
     check_cli_contract(argv)
+
+
+def _ends_in_its_only_double_dash(argv):
+    return "--" in argv and argv.index("--") == len(argv) - 1
+
+
+@settings(max_examples=2000, deadline=None)
+@given(command_lines.filter(lambda argv: not _ends_in_its_only_double_dash(argv)))
+def test_table_parser_reads_command_lines_as_argparse_does(argv):
+    # argparse accepts ``compute K --`` but refuses ``compute K --json --``;
+    # the table always reads a trailing ``--`` as the end of the options
+    # (``tests/test_cli.py::TestCommandLineGrammar`` pins that rule)
+    assert parse_outcome(build_parser(), argv) == parse_outcome(reference_parser(), argv)
