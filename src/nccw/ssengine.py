@@ -43,6 +43,9 @@ PARITY_ODD = 1
 ASSEMBLY_EXACT = "exact"
 ASSEMBLY_UP_TO_EXTENSION = "up_to_extension"
 
+# the one zero group an absent entry stands for; a frozen value, so shared
+_TRIVIAL = FGAbelianGroup.trivial()
+
 
 def generator_orders(group: FGAbelianGroup) -> list[int]:
     """Orders of the canonical generators; 0 marks a free generator."""
@@ -84,7 +87,7 @@ class Page(Frozen):
 
     def entry(self, p: int, q: int) -> FGAbelianGroup:
         """The entry at ``(p, q)``; only ``q mod 2`` matters."""
-        return self.entries.get((p, q % 2), FGAbelianGroup.trivial())
+        return self.entries.get((p, q % 2), _TRIVIAL)
 
     def step(self, p: int, parity: int, by: int = 1) -> tuple[int, int]:
         """Where ``by`` applications of d^r take ``(p, parity)``; a negative
@@ -281,7 +284,7 @@ def assemble(ss: SpectralSequence) -> tuple[Assembly, Assembly]:
                 pieces.append(g)
         forced = len(pieces) <= 1 or all(not g.torsion for g in pieces)
         note = ASSEMBLY_EXACT if forced else ASSEMBLY_UP_TO_EXTENSION
-        group = FGAbelianGroup.trivial().direct_sum(*pieces)
+        group = _TRIVIAL.direct_sum(*pieces)
         out.append(Assembly(tuple(pieces), group, note))
     return tuple(out)
 

@@ -327,6 +327,34 @@ class TestCompute:
         assert "d^1: p -> p+1" in internal
         assert "d^1: p -> p-1" in papered
 
+    @pytest.mark.parametrize("n", [48, 60])
+    def test_dense_k_within_seconds(self, capsys, tmp_path, n):
+        # a random -3..3 boundary: K^1 is its cokernel, of order |det|
+        # (from sympy); pivoting on each first remainder took 83 s at
+        # n = 48 and over 240 s at n = 60
+        from sympy import ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(1000 + n)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        det = int(DomainMatrix(rows, (n, n), ZZ).det())
+        assert det != 0
+        path = tmp_path / f"pm{n}.json"
+        path.write_text(json.dumps({"classical_cw": {"counts": [n, n], "boundaries": [rows]}}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "compute", str(path), "--theory", "k", "--json")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["even"]["group"] == "0"
+        terms = payload["odd"]["group"].split(" (+) ")
+        assert all(term.startswith("Z/") for term in terms)  # free rank 0
+        order = 1
+        for term in terms:
+            order *= int(term[2:])
+        assert order == abs(det)
+        assert elapsed < 5.0
+
 
 class TestByteStability:
     @pytest.mark.parametrize("name", ["rp2.json", "i2.json", "torus.json"])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nccw import exacthom as eh
 from nccw.errors import ComplexViolation, ShapeMismatch
@@ -79,6 +81,18 @@ class TestSmithNormalForm:
             assert all(x == 0 for row in product for x in row)
             assert eh.matrix_rank(kb) == kb.shape[1]
             assert kb.shape[1] == m.shape[1] - eh.matrix_rank(m)
+
+
+@given(st.integers(), st.integers().filter(bool))
+@example(7, -2)
+@example(-7, -2)
+@example(5, -10)
+@example(-5, 10)
+def test_nearest_quotient_leaves_the_least_remainder(x, p):
+    # divmod rounds toward -infinity, so a negative pivot is where a sign
+    # slip would show
+    r = x - eh._nearest_quotient(x, p) * p
+    assert 2 * abs(r) <= abs(p)
 
 
 class TestCokernelEnumerationOracle:
