@@ -6,12 +6,28 @@ Subcommands
     Parse and validate a complex file; exit 0 when it builds.
 ``compute PATH [--theory k|hp] [--pages] [--paper-indexing] [--json]``
     Assemble the even/odd theory groups, optionally dumping every page.
-``transform PATH --op suspend|cone|cylinder|mapcone [--map PATH] [--theory] [--json]``
-    Apply a construction.  ``suspend`` emits a new complex file; the
-    other operations emit a result file.
-``fibration --base PATH (--coeff-even S --coeff-odd S | --map PATH --total PATH) [--theory] [--json]``
-    Coefficient spectral sequence over a base: dumps the second page and
-    the assembled totals.  The two modes do not mix.
+``transform PATH --op suspend``
+    Print the suspension as a complex file, always as JSON.
+``transform PATH --op cone [--theory k|hp] [--json]``
+    The cone, which is acyclic.
+``transform PATH --op cylinder --map PATH [--theory k|hp] [--json]``
+    The mapping cylinder of a morphism, which retracts onto its codomain.
+``transform PATH --op mapcone --map PATH [--theory k|hp] [--json]``
+    The mapping cone of a morphism: its relative groups.
+``fibration --base PATH --coeff-even S --coeff-odd S [BASE OPTIONS]``
+    Coefficient spectral sequence over a base with the given groups:
+    dumps the second page and the assembled totals.  The BASE OPTIONS are
+    ``[--theory k|hp] [--not-simple] [--paper-indexing] [--json]``.
+``fibration --base PATH --map PATH --total PATH [BASE OPTIONS]``
+    The same with the relative groups of a morphism as coefficients.
+
+``MODES`` lists, for each mode of ``transform`` and ``fibration``, the
+options it reads and the options it needs.  ``--op`` names the mode of
+``transform``; ``fibration`` is in ``map`` mode when ``--map`` or
+``--total`` is given, also as an empty string.  An option a mode does not
+read and a needed option that is missing are refused before any file is
+opened.  An option at its default value counts as not given, so
+``--op suspend --theory k`` is accepted.
 
 Exit codes: 0 success, 1 domain or validation error, 2 parse error (of a
 file or of the command line).  Each failure prints one ``error:`` line.
@@ -44,8 +60,8 @@ File formats (JSON, integers only, no floats anywhere):
 
     {"name": "incl", "dst": {...complex...}, "maps": [[[1]]]}
 
-  In fibration mode the codomain comes from ``--total`` instead and the
-  ``dst`` field may be omitted.
+  In the ``map`` mode of ``fibration`` the codomain comes from
+  ``--total`` instead and the ``dst`` field may be omitted.
 
 Group strings use the grammar ``0 | Z^r | Z/d | term (+) term ...`` (a
 bare ``+`` is accepted as separator on input, and ``Q`` in place of ``Z``
@@ -463,10 +479,9 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _load_morphism(args, src_model, theory):
+def _load_morphism(args, src_cochain, theory):
     obj = _load_json(args.map)
-    src_cochain = cellmodel.cochain_complex(src_model, theory)
-    if args.total:
+    if args.total is not None:
         _, dst_model = load_complex(args.total)
     else:
         obj = _expect_object(obj, "morphism file")
@@ -479,47 +494,33 @@ def _load_morphism(args, src_model, theory):
 
 def cmd_transform(args) -> int:
     name, built = load_complex(args.path)
-    theory = _theory(args)
     if args.op == "suspend":
         emit(suspended_payload(name, built), True)
         return EXIT_OK
+    theory = _theory(args)
+    src = cellmodel.cochain_complex(built, theory)
     if args.op == "cone":
         # the cone is the mapping cone of the identity, which is acyclic
-        identity = constructions.CellularMorphism.identity_on(
-            cellmodel.cochain_complex(built, theory)
-        )
-        even, odd = constructions.relative_assemblies(identity, theory)
-        emit(result_payload(f"cone({name})", theory, even, odd), args.json)
-        return EXIT_OK
-    if not args.map:
-        raise FileFormatError(f"--op {args.op} needs --map")
-    morphism = _load_morphism(args, built, theory)
+        morphism = constructions.CellularMorphism.identity_on(src)
+    else:
+        morphism = _load_morphism(args, src, theory)
     if args.op == "cylinder":
         # the cylinder deformation retracts onto the codomain
         even, odd = ssengine.compute_theories(morphism.dst, theory)
-        emit(result_payload(f"cylinder({name})", theory, even, odd), args.json)
-        return EXIT_OK
-    # the table's choices leave "mapcone" as the only other operation
-    even, odd = constructions.relative_assemblies(morphism, theory)
-    emit(result_payload(f"mapcone({name})", theory, even, odd), args.json)
+    else:
+        even, odd = constructions.relative_assemblies(morphism, theory)
+    emit(result_payload(f"{args.op}({name})", theory, even, odd), args.json)
     return EXIT_OK
 
 
 def cmd_fibration(args) -> int:
-    coefficients = args.coeff_even is not None or args.coeff_odd is not None
-    if coefficients and (args.map is not None or args.total is not None):
-        raise FileFormatError("give --coeff-even and --coeff-odd, or --map with --total, not both")
     base_name, base_model = load_complex(args.base)
     theory = _theory(args)
     base = cellmodel.cochain_complex(base_model, theory)
-    if args.map:
-        if not args.total:
-            raise FileFormatError("--map needs --total in fibration mode")
-        morphism = _load_morphism(args, base_model, theory)
+    if args.mode == "map":
+        morphism = _load_morphism(args, base, theory)
         g_even, g_odd = fibration.relative_coefficients(morphism, theory)
     else:
-        if args.coeff_even is None or args.coeff_odd is None:
-            raise FileFormatError("need --coeff-even and --coeff-odd, or --map with --total")
         g_even = parse_group(args.coeff_even)
         g_odd = parse_group(args.coeff_odd)
     try:
@@ -563,7 +564,7 @@ COMMANDS = {
         ("path",),
         (("--op", "op", True, ("suspend", "cone", "cylinder", "mapcone"), True,
           "the construction"),
-         ("--map", "map", True, None, False, "morphism file (cylinder and mapcone)"),
+         ("--map", "map", True, None, False, "morphism file"),
          _THEORY,
          _JSON),
         {"func": cmd_transform, "theory": "k", "total": None},
@@ -572,12 +573,10 @@ COMMANDS = {
         "coefficient spectral sequence over a base",
         (),
         (("--base", "base", True, None, True, "base complex file"),
-         ("--coeff-even", "coeff_even", True, None, False,
-          "even coefficient group (with --coeff-odd)"),
+         ("--coeff-even", "coeff_even", True, None, False, "even coefficient group"),
          ("--coeff-odd", "coeff_odd", True, None, False, "odd coefficient group"),
-         ("--map", "map", True, None, False,
-          "morphism file from the base into the total model (instead of coefficients)"),
-         ("--total", "total", True, None, False, "total complex file (with --map)"),
+         ("--map", "map", True, None, False, "morphism file from the base into the total model"),
+         ("--total", "total", True, None, False, "total complex file"),
          _THEORY,
          ("--not-simple", "not_simple", False, None, False,
           "declare the local coefficients non-simple, which is refused"),
@@ -585,6 +584,18 @@ COMMANDS = {
          _JSON),
         {"func": cmd_fibration, "theory": "k"},
     ),
+}
+
+# subcommand -> mode -> (the options it reads, the options it needs); an
+# option at its default value counts as not given
+_MAPPED = ("--op", "--map", "--theory", "--json")
+_OVER_BASE = ("--base", "--theory", "--not-simple", "--paper-indexing", "--json")
+MODES = {
+    "transform": {"suspend": (("--op",), ()), "cone": (("--op", "--theory", "--json"), ()),
+                  "cylinder": (_MAPPED, ("--map",)), "mapcone": (_MAPPED, ("--map",))},
+    "fibration": {"coefficients": (_OVER_BASE + ("--coeff-even", "--coeff-odd"),
+                                   ("--coeff-even", "--coeff-odd")),
+                  "map": (_OVER_BASE + ("--map", "--total"), ("--map", "--total"))},
 }
 
 _HELP = ("help", False, None)  # what -h and --help resolve to
@@ -714,7 +725,9 @@ class _Parser:
                 rows.append((flag, text))
             words += positionals
             lines = [f"usage: nccw {name} {' '.join(words)}", "", summary, "", "options:"]
-            tail = []
+            modes = [f"  {mode}: reads {', '.join(reads)}; needs {', '.join(needs) or 'no more'}"
+                     for mode, (reads, needs) in MODES.get(name, {}).items()]
+            tail = ["", "modes (each refuses an option it does not read):", *modes] if modes else []
         width = max(len(first) for first, _ in rows) + 2
         lines += [f"  {first:<{width}}{text}".rstrip() for first, text in rows]
         return "\n".join(lines + tail)
@@ -730,6 +743,26 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _check_mode(args) -> None:
+    """Refuse an option that the mode of ``args`` does not read and one
+    that it needs and lacks, and keep the mode as ``args.mode``.  ``--op``
+    names the mode of ``transform``; ``fibration`` is in ``map`` mode when
+    ``--map`` or ``--total`` is given."""
+    if args.command == "transform":
+        args.mode = args.op
+    elif args.command == "fibration":
+        args.mode = "map" if args.map is not None or args.total is not None else "coefficients"
+    else:
+        return
+    reads, needs = MODES[args.command][args.mode]
+    defaults = _parser().values[args.command]
+    for flag, dest, *_ in COMMANDS[args.command][2]:
+        given = getattr(args, dest) != defaults[dest]
+        if given and flag not in reads or not given and flag in needs:
+            verb = "does not read" if given else "needs"
+            raise _refusal(f"nccw {args.command}", f"{args.mode} {verb} {flag}")
+
+
 def _error(message) -> None:
     """One ``error:`` line; what stderr cannot encode is backslash-escaped."""
     encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
@@ -740,6 +773,7 @@ def _error(message) -> None:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _check_mode(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

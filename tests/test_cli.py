@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from nccw import cellmodel, ssengine
 from nccw.cli import (
+    COMMANDS,
+    MODES,
     FileFormatError,
+    _check_mode,
     _indented,
     build_parser,
     complex_payload,
@@ -200,6 +203,64 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("usage: nccw compute")
 
 
+def _mode_argv(command, mode, leave_out=None):
+    """A command line in ``mode`` with every needed option but ``leave_out``,
+    each path ``/nonexistent``."""
+    argv = (["transform", "/nonexistent", "--op", mode] if command == "transform"
+            else ["fibration", "--base", "/nonexistent"])
+    for flag in MODES[command][mode][1]:
+        if flag != leave_out:
+            argv += [flag, "/nonexistent"]
+    return argv
+
+
+def mode_refusals():
+    """``(argv, refusal)`` for each option a mode does not read, given a
+    value other than its default, and for each option it needs, left out;
+    then refusals over the fixture files, among them the three command
+    lines whose option was once ignored with exit 0."""
+    cases = []
+    for command, modes in MODES.items():
+        defaults = build_parser().values[command]
+        for mode, (reads, needs) in modes.items():
+            for flag, dest, takes_value, choices, _, _ in COMMANDS[command][2]:
+                if flag in reads:
+                    continue
+                value = ([c for c in choices if c != defaults[dest]][:1] if choices
+                         else ["/nonexistent"] if takes_value else [])
+                refused = (mode, flag)
+                if mode == "coefficients":
+                    # --map or --total selects map mode, which then refuses
+                    # the first coefficient group
+                    refused = ("map", "--coeff-even")
+                cases.append(pytest.param(_mode_argv(command, mode) + [flag, *value],
+                                          "%s does not read %s" % refused,
+                                          id=f"{mode}_reads_no{flag}"))
+            for flag in needs:
+                cases.append(pytest.param(_mode_argv(command, mode, leave_out=flag),
+                                          f"{mode} needs {flag}", id=f"{mode}_needs{flag}"))
+    base = ["fibration", "--base", fix("point.json")]
+    return cases + [
+        pytest.param([*base, "--map", fix("point_to_circle.json")], "map needs --total",
+                     id="map_without_total"),
+        pytest.param([*base, "--coeff-even", "Z"], "coefficients needs --coeff-odd",
+                     id="one_coefficient"),
+        pytest.param([*base, "--coeff-even", "Z", "--coeff-odd", "0", "--total", "/nonexistent"],
+                     "map does not read --coeff-even", id="coefficients_and_total"),
+        pytest.param([*base, "--coeff-even", "Z", "--coeff-odd", "0",
+                      "--map", fix("point_to_circle.json"), "--total", fix("circle.json")],
+                     "map does not read --coeff-even", id="coefficients_and_map"),
+        pytest.param(["transform", fix("circle.json"), "--op", "mapcone"],
+                     "mapcone needs --map", id="map_required"),
+        pytest.param(["transform", fix("point.json"), "--op", "cone", "--map", "/nonexistent"],
+                     "cone does not read --map", id="cone_ignored_map"),
+        pytest.param(["transform", fix("point.json"), "--op", "suspend", "--theory", "hp"],
+                     "suspend does not read --theory", id="suspend_ignored_theory"),
+        pytest.param(["transform", fix("point.json"), "--op", "suspend", "--json"],
+                     "suspend does not read --json", id="suspend_ignored_json"),
+    ]
+
+
 class TestFileFormatRefusals:
     """Each schema refusal is exit 2 with one ``error:`` line."""
 
@@ -227,17 +288,12 @@ class TestFileFormatRefusals:
         argv = ["transform", fix("point.json"), "--op", "mapcone", "--map", str(path)]
         assert check_cli_contract(argv) == 2
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--map", fix("point_to_circle.json")], ["--coeff-even", "Z"],
-         ["--coeff-even", "Z", "--coeff-odd", "0", "--total", "/nonexistent"],
-         ["--coeff-even", "Z", "--coeff-odd", "0", "--map", fix("point_to_circle.json"),
-          "--total", fix("circle.json")]],
-        ids=["map_without_total", "one_coefficient", "coefficients_and_total",
-             "coefficients_and_map"],
-    )
-    def test_incomplete_fibration(self, extra):
-        assert check_cli_contract(["fibration", "--base", fix("point.json"), *extra]) == 2
+    @pytest.mark.parametrize("argv, refusal", mode_refusals())
+    def test_mode_refusals(self, capsys, argv, refusal):
+        # a /nonexistent path opened first would be refused with another line
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: nccw {argv[0]}: {refusal}\n"
 
     @pytest.mark.parametrize("counts", [[0, 1], [1, 0]], ids=["zero_rows", "zero_columns"])
     def test_empty_boundary_matrix_accepted(self, tmp_path, counts):
@@ -448,11 +504,6 @@ class TestTransform:
         )
         assert code in (1, 2)
 
-    def test_map_required(self, capsys):
-        code, _, err = run(capsys, "transform", fix("circle.json"), "--op", "mapcone")
-        assert code == 2
-        assert "--map" in err
-
 
 class TestFibration:
     def test_circle_times_circle(self, capsys):
@@ -629,6 +680,55 @@ class TestParser:
         finally:
             nccw.cli._parser.cache_clear()
         assert calls == [1]
+
+
+class _Reads:
+    """A parsed namespace that records the name of each attribute read."""
+
+    def __init__(self, args):
+        self.__dict__.update(args=args, names=set())
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.args, name)
+
+
+class TestModeTable:
+    def test_handlers_read_what_their_modes_list(self):
+        from test_golden import CLI_CASES
+
+        point, circle = fix("point.json"), fix("circle.json")
+        inclusion = fix("point_to_circle.json")
+        one_per_mode = [
+            ["transform", point, "--op", "suspend"],
+            ["transform", fix("rp2.json"), "--op", "cone"],
+            ["transform", point, "--op", "cylinder", "--map", inclusion],
+            ["transform", point, "--op", "mapcone", "--map", inclusion, "--theory", "hp"],
+            ["fibration", "--base", circle, "--coeff-even", "Z", "--coeff-odd", "0",
+             "--paper-indexing"],
+            ["fibration", "--base", point, "--map", inclusion, "--total", circle, "--json"],
+        ]
+        seen = {(command, mode): set() for command, modes in MODES.items() for mode in modes}
+        for argv in [*CLI_CASES.values(), *one_per_mode]:
+            args = build_parser().parse_args(argv)
+            _check_mode(args)
+            reads = _Reads(args)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert args.func(reads) == 0, argv
+            flags = {dest: flag for flag, dest, *_ in COMMANDS[args.command][2]}
+            read = {flags[name] for name in reads.names if name in flags}
+            assert read <= set(MODES[args.command][args.mode][0]), argv
+            seen[args.command, args.mode] |= read
+        assert seen == {(command, mode): set(reads) for command, modes in MODES.items()
+                        for mode, (reads, _) in modes.items()}
+
+    @pytest.mark.parametrize("command", sorted(MODES))
+    def test_help_lists_each_mode(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        out = capsys.readouterr().out
+        for mode, (reads, needs) in MODES[command].items():
+            assert f"  {mode}: reads {', '.join(reads)}; needs " in out
 
 
 def parsed(*argv):

@@ -107,8 +107,10 @@ def test_mutated_files_never_escape(cx, morphism, theory):
             json.dump(morphism, fh)
         check_cli_contract(["validate", path])
         check_cli_contract(["compute", path, "--pages", "--theory", theory])
-        for op in ("suspend", "cone"):
-            check_cli_contract(["transform", path, "--op", op, "--theory", theory])
+        # suspend reads no --theory, so one given would be refused before
+        # the file is read
+        check_cli_contract(["transform", path, "--op", "suspend"])
+        check_cli_contract(["transform", path, "--op", "cone", "--theory", theory])
         # the fixture morphism starts at the point, so a mutated map also
         # meets its intended source
         for src in (path, POINT):
