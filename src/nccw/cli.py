@@ -4,8 +4,12 @@ Subcommands
 -----------
 ``validate PATH``
     Parse and validate a complex file; exit 0 when it builds.
-``compute PATH [--theory k|hp] [--pages] [--paper-indexing] [--json]``
-    Assemble the even/odd theory groups, optionally dumping every page.
+``compute PATH [--theory k|hp]``
+    Assemble the even/odd theory groups.
+``compute PATH --pages [--theory k|hp] [--paper-indexing]``
+    The same, and every page up to E^(k+1) as text.
+``compute PATH --json [--theory k|hp] [--pages]``
+    The same as JSON, whose pages carry both indexings.
 ``transform PATH --op suspend``
     Print the suspension as a complex file, always as JSON.
 ``transform PATH --op cone [--theory k|hp] [--json]``
@@ -17,14 +21,18 @@ Subcommands
 ``fibration --base PATH --coeff-even S --coeff-odd S [BASE OPTIONS]``
     Coefficient spectral sequence over a base with the given groups:
     dumps the second page and the assembled totals.  The BASE OPTIONS are
-    ``[--theory k|hp] [--not-simple] [--paper-indexing] [--json]``.
+    ``[--theory k|hp] [--not-simple] [--paper-indexing | --json]``.
 ``fibration --base PATH --map PATH --total PATH [BASE OPTIONS]``
     The same with the relative groups of a morphism as coefficients.
 
-``MODES`` lists, for each mode of ``transform`` and ``fibration``, the
-options it reads and the options it needs.  ``--op`` names the mode of
-``transform``; ``fibration`` is in ``map`` mode when ``--map`` or
-``--total`` is given, also as an empty string.  An option a mode does not
+``MODES`` lists, for each mode of ``compute``, ``transform`` and
+``fibration``, the options it reads and the options it needs.  ``compute``
+is in ``json`` mode with ``--json``, else in ``pages`` mode with
+``--pages``, else in ``groups`` mode.  ``--op`` names the mode of
+``transform``.  ``fibration`` is in ``map`` mode when ``--map`` or
+``--total`` is given, also as an empty string, else in ``coefficients``
+mode, and ``--json`` makes these ``map json`` and ``coefficients json``.
+Only text pages read ``--paper-indexing``.  An option a mode does not
 read and a needed option that is missing are refused before any file is
 opened.  An option at its default value counts as not given, so
 ``--op suspend --theory k`` is accepted.
@@ -467,15 +475,28 @@ def _theory(args) -> str:
     return THEORY_HP if args.theory == "hp" else THEORY_K
 
 
+def _emit_result(args, payload: dict) -> None:
+    """Print a result of ``compute`` or ``fibration``.  JSON carries both
+    indexings of every page, so only text with pages reads
+    ``--paper-indexing``."""
+    if args.json:
+        emit(payload, True)
+    else:
+        emit(payload, False, "pages" in payload and args.paper_indexing)
+
+
 def cmd_compute(args) -> int:
     name, built = load_complex(args.path)
     theory = _theory(args)
-    cochain = cellmodel.cochain_complex(built, theory)
-    # stabilized here only because --pages prints every page
-    ss = ssengine.stabilize(ssengine.from_cellular(cochain, theory))
+    ss = ssengine.from_cellular(cellmodel.cochain_complex(built, theory), theory)
+    pages = None
+    if args.pages:
+        # --pages prints every page up to E^(k+1); without it, assemble
+        # turns pages only until one records no differentials
+        ss = ssengine.stabilize(ss)
+        pages = ss.pages
     even, odd = ssengine.assemble(ss)
-    pages = ss.pages if args.pages else None
-    emit(result_payload(name, theory, even, odd, pages), args.json, args.paper_indexing)
+    _emit_result(args, result_payload(name, theory, even, odd, pages))
     return EXIT_OK
 
 
@@ -517,7 +538,7 @@ def cmd_fibration(args) -> int:
     base_name, base_model = load_complex(args.base)
     theory = _theory(args)
     base = cellmodel.cochain_complex(base_model, theory)
-    if args.mode == "map":
+    if args.mode.startswith("map"):
         morphism = _load_morphism(args, base, theory)
         g_even, g_odd = fibration.relative_coefficients(morphism, theory)
     else:
@@ -531,8 +552,7 @@ def cmd_fibration(args) -> int:
         raise NCCWError(str(exc)) from exc
     page2 = fibration.leray_serre_e2(data)
     even, odd = fibration.compute_total(page2)
-    payload = result_payload(f"fibration({base_name})", theory, even, odd, pages=[page2])
-    emit(payload, args.json, args.paper_indexing)
+    _emit_result(args, result_payload(f"fibration({base_name})", theory, even, odd, [page2]))
     return EXIT_OK
 
 
@@ -544,7 +564,7 @@ def cmd_fibration(args) -> int:
 # unless its subcommand's defaults say otherwise.
 _THEORY = ("--theory", "theory", True, ("k", "hp"), False, "k (the default) or hp")
 _PAPER_INDEXING = ("--paper-indexing", "paper_indexing", False, None, False,
-                   "print p as the paper counts it, p -> k - p")
+                   "print p in text pages as the paper counts it, p -> k - p")
 _JSON = ("--json", "json", False, None, False, "print the result as indented JSON")
 
 # subcommand -> (help, positionals, options, defaults)
@@ -587,15 +607,24 @@ COMMANDS = {
 }
 
 # subcommand -> mode -> (the options it reads, the options it needs); an
-# option at its default value counts as not given
+# option at its default value counts as not given.  JSON carries both
+# indexings of a page, so no json mode reads --paper-indexing.
 _MAPPED = ("--op", "--map", "--theory", "--json")
-_OVER_BASE = ("--base", "--theory", "--not-simple", "--paper-indexing", "--json")
+_OVER_BASE = ("--base", "--theory", "--not-simple")
+_COEFFICIENTS = ("--coeff-even", "--coeff-odd")
+_MAP_TOTAL = ("--map", "--total")
 MODES = {
+    "compute": {"groups": (("--theory",), ()),
+                "pages": (("--theory", "--pages", "--paper-indexing"), ()),
+                "json": (("--theory", "--pages", "--json"), ())},
     "transform": {"suspend": (("--op",), ()), "cone": (("--op", "--theory", "--json"), ()),
                   "cylinder": (_MAPPED, ("--map",)), "mapcone": (_MAPPED, ("--map",))},
-    "fibration": {"coefficients": (_OVER_BASE + ("--coeff-even", "--coeff-odd"),
-                                   ("--coeff-even", "--coeff-odd")),
-                  "map": (_OVER_BASE + ("--map", "--total"), ("--map", "--total"))},
+    "fibration": {
+        "coefficients": (_OVER_BASE + ("--paper-indexing",) + _COEFFICIENTS, _COEFFICIENTS),
+        "coefficients json": (_OVER_BASE + ("--json",) + _COEFFICIENTS, _COEFFICIENTS),
+        "map": (_OVER_BASE + ("--paper-indexing",) + _MAP_TOTAL, _MAP_TOTAL),
+        "map json": (_OVER_BASE + ("--json",) + _MAP_TOTAL, _MAP_TOTAL),
+    },
 }
 
 _HELP = ("help", False, None)  # what -h and --help resolve to
@@ -746,12 +775,17 @@ def _parser() -> _Parser:
 def _check_mode(args) -> None:
     """Refuse an option that the mode of ``args`` does not read and one
     that it needs and lacks, and keep the mode as ``args.mode``.  ``--op``
-    names the mode of ``transform``; ``fibration`` is in ``map`` mode when
-    ``--map`` or ``--total`` is given."""
+    names the mode of ``transform``; ``compute`` is in ``json`` mode with
+    ``--json``, else in ``pages`` mode with ``--pages``; ``fibration`` is
+    in ``map`` mode when ``--map`` or ``--total`` is given, and ``--json``
+    makes its mode ``map json`` or ``coefficients json``."""
     if args.command == "transform":
         args.mode = args.op
+    elif args.command == "compute":
+        args.mode = "json" if args.json else "pages" if args.pages else "groups"
     elif args.command == "fibration":
-        args.mode = "map" if args.map is not None or args.total is not None else "coefficients"
+        mode = "map" if args.map is not None or args.total is not None else "coefficients"
+        args.mode = f"{mode} json" if args.json else mode
     else:
         return
     reads, needs = MODES[args.command][args.mode]

@@ -23,16 +23,18 @@ Conventions
   ``(c_{p+1}, c_p)``.  A chain complex enters by transposing its boundary
   matrices once, as :func:`nccw.cellmodel.from_classical_cw` does.
 * Every result is certified before it is used, and a failed certificate
-  raises :class:`nccw.errors.CertificateFailed`.  The Smith normal form
-  core logs elementary row and column operations instead of building
-  transforms; ``_check_snf`` replays the logs on the input's sparse rows
-  and must reach the diagonal exactly, so the transforms are unimodular by
-  construction and no determinant is taken.  Transforms are built from
-  the logs only where a caller needs them (``smith_normal_form``,
-  ``kernel_basis``).  ``matrix_rank`` works over Q by fraction-free
-  elimination and is certified by a nonzero pivot minor and an
-  annihilated kernel.  Over Q (HP) cohomology needs only ranks, so it
-  runs no Smith normal form.
+  raises :class:`nccw.errors.CertificateFailed`.  A zero map's rank 0
+  and empty torsion are read off ``IntMatrix.is_zero``, an exact test of
+  every row, so no factorization is made and none needs a certificate.
+  The Smith normal form core logs elementary row and column operations
+  instead of building transforms; ``_check_snf`` replays the logs on the
+  input's sparse rows and must reach the diagonal exactly, so the
+  transforms are unimodular by construction and no determinant is taken.
+  Transforms are built from the logs only where a caller needs them
+  (``smith_normal_form``, ``kernel_basis``).  ``matrix_rank`` works over
+  Q by fraction-free elimination and is certified by a nonzero pivot
+  minor and an annihilated kernel.  Over Q (HP) cohomology needs only
+  ranks, so it runs no Smith normal form.
 * :func:`all_cohomology` is the one producer of a complex's groups;
   there is no per-degree variant.
 * d after d = 0 is decided exactly without forming the product
@@ -830,7 +832,11 @@ class CochainComplex(Value):
 def _map_invariants(ring: str, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """``(rank, torsion)`` of one differential: over Q its certified rank
     from ``matrix_rank`` and no torsion, over Z the number of its nonzero
-    invariant factors and those >= 2, from one ``snf_diagonal``."""
+    invariant factors and those >= 2, from one ``snf_diagonal``.  A zero
+    map, of any shape, has rank 0 and no torsion, read off ``is_zero``
+    with no factorization."""
+    if mat.is_zero:
+        return 0, ()
     if ring == RING_Q:
         return matrix_rank(mat), ()
     diag = snf_diagonal(mat)
@@ -951,11 +957,14 @@ def all_cohomology(c: CochainComplex) -> list[FGAbelianGroup]:
     """Cohomology in every degree, the one producer of a complex's groups.
 
     The complex is reduced once by ``reduce_complex`` and each
-    differential of the remainder is read once (``matrix_rank`` over Q,
-    ``snf_diagonal`` over Z).  At degree ``p`` the free rank is ``c_p``
-    minus the ranks of the maps out of and into ``p``, and the torsion is
-    that of the incoming map: every torsion class of its cokernel lies in
-    the kernel of the outgoing map because the composite vanishes."""
+    differential of the remainder is read once: a zero map has rank 0
+    and no torsion, read off ``is_zero`` with no factorization to
+    certify, and any other map is factorized and certified
+    (``matrix_rank`` over Q, ``snf_diagonal`` over Z).  At degree ``p``
+    the free rank is ``c_p`` minus the ranks of the maps out of and into
+    ``p``, and the torsion is that of the incoming map: every torsion
+    class of its cokernel lies in the kernel of the outgoing map because
+    the composite vanishes."""
     r = reduce_complex(c)
     # inv[p] belongs to the map into degree p, inv[p + 1] to the map out of it
     none = (0, ())

@@ -15,8 +15,13 @@ cellular complex in its even row (cells have no odd theory) and turns
 into that complex's ``all_cohomology``.  An assembly reports the direct
 sum of its pieces and notes whether the pieces force it.
 
-Every complex of top dimension ``k`` stabilizes at page ``k + 1``: beyond
-that every differential leaves the support ``0 <= p <= k``.
+Every complex of top dimension ``k`` stabilizes at page ``k + 1`` at the
+latest: beyond that every differential leaves the support ``0 <= p <= k``.
+A page without differentials is stable already, because a turned page
+records none and a page without them turns into the same entries; only a
+first page and :func:`set_higher_differential` record any.  So
+:func:`e_infinity` stops at the first page without differentials, and
+only :func:`stabilize` turns every page up to ``k + 1``.
 """
 
 from __future__ import annotations
@@ -122,7 +127,9 @@ class SpectralSequence(Frozen):
 
     @property
     def stabilized_at(self) -> int:
-        """Page index from which all further pages coincide."""
+        """Page index from which all further pages coincide whatever is
+        recorded on them: only an upper bound, since a page without
+        differentials is stable already."""
         return max(self.pages[0].r, self.k + 1)
 
     def page(self, r: int) -> Page:
@@ -254,16 +261,22 @@ def set_higher_differential(
 
 
 def stabilize(ss: SpectralSequence) -> SpectralSequence:
-    """Turn pages until the guaranteed stabilization index; a sequence
-    that is already there comes back unchanged."""
+    """Turn pages until the guaranteed stabilization index, for a caller
+    that shows every page; pages after the first without differentials
+    repeat its entries.  A sequence that is already there comes back
+    unchanged."""
     while ss.current_r < ss.stabilized_at:
         ss = turn_page(ss)
     return ss
 
 
 def e_infinity(ss: SpectralSequence) -> Page:
-    """The stable page."""
-    return stabilize(ss).pages[-1]
+    """The stable page: the last page turned until it records no
+    differentials, and at most until ``stabilized_at``.  Every later page
+    would repeat its entries, so none is turned."""
+    while ss.pages[-1].differentials and ss.current_r < ss.stabilized_at:
+        ss = turn_page(ss)
+    return ss.pages[-1]
 
 
 def assemble(ss: SpectralSequence) -> tuple[Assembly, Assembly]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -204,10 +205,15 @@ class TestExitCodes:
 
 
 def _mode_argv(command, mode, leave_out=None):
-    """A command line in ``mode`` with every needed option but ``leave_out``,
-    each path ``/nonexistent``."""
-    argv = (["transform", "/nonexistent", "--op", mode] if command == "transform"
-            else ["fibration", "--base", "/nonexistent"])
+    """A command line in ``mode`` with the flags that select it and every
+    needed option but ``leave_out``, each path ``/nonexistent``."""
+    if command == "transform":
+        argv = ["transform", "/nonexistent", "--op", mode]
+    elif command == "compute":
+        argv = ["compute", "/nonexistent"] + {"groups": [], "pages": ["--pages"],
+                                              "json": ["--json"]}[mode]
+    else:
+        argv = ["fibration", "--base", "/nonexistent"] + ["--json"] * mode.endswith(" json")
     for flag in MODES[command][mode][1]:
         if flag != leave_out:
             argv += [flag, "/nonexistent"]
@@ -217,7 +223,7 @@ def _mode_argv(command, mode, leave_out=None):
 def mode_refusals():
     """``(argv, refusal)`` for each option a mode does not read, given a
     value other than its default, and for each option it needs, left out;
-    then refusals over the fixture files, among them the three command
+    then refusals over the fixture files, among them the six command
     lines whose option was once ignored with exit 0."""
     cases = []
     for command, modes in MODES.items():
@@ -228,18 +234,21 @@ def mode_refusals():
                     continue
                 value = ([c for c in choices if c != defaults[dest]][:1] if choices
                          else ["/nonexistent"] if takes_value else [])
-                refused = (mode, flag)
-                if mode == "coefficients":
-                    # --map or --total selects map mode, which then refuses
-                    # the first coefficient group
-                    refused = ("map", "--coeff-even")
-                cases.append(pytest.param(_mode_argv(command, mode) + [flag, *value],
-                                          "%s does not read %s" % refused,
-                                          id=f"{mode}_reads_no{flag}"))
+                if command != "transform" and flag in ("--pages", "--json"):
+                    continue  # it selects a mode that reads every option given
+                refusal = f"{mode} does not read {flag}"
+                if command == "fibration" and flag in ("--map", "--total"):
+                    # it selects map mode, which then refuses the first
+                    # coefficient group
+                    refusal = f"{mode.replace('coefficients', 'map')} does not read --coeff-even"
+                cases.append(pytest.param(_mode_argv(command, mode) + [flag, *value], refusal,
+                                          id=f"{mode.replace(' ', '_')}_reads_no{flag}"))
             for flag in needs:
                 cases.append(pytest.param(_mode_argv(command, mode, leave_out=flag),
-                                          f"{mode} needs {flag}", id=f"{mode}_needs{flag}"))
+                                          f"{mode} needs {flag}",
+                                          id=f"{mode.replace(' ', '_')}_needs{flag}"))
     base = ["fibration", "--base", fix("point.json")]
+    coefficients = ["--coeff-even", "Z", "--coeff-odd", "0"]
     return cases + [
         pytest.param([*base, "--map", fix("point_to_circle.json")], "map needs --total",
                      id="map_without_total"),
@@ -258,6 +267,13 @@ def mode_refusals():
                      "suspend does not read --theory", id="suspend_ignored_theory"),
         pytest.param(["transform", fix("point.json"), "--op", "suspend", "--json"],
                      "suspend does not read --json", id="suspend_ignored_json"),
+        pytest.param(["compute", fix("rp2.json"), "--paper-indexing"],
+                     "groups does not read --paper-indexing", id="groups_ignored_paper_indexing"),
+        pytest.param(["compute", fix("rp2.json"), "--pages", "--json", "--paper-indexing"],
+                     "json does not read --paper-indexing", id="json_ignored_paper_indexing"),
+        pytest.param([*base, *coefficients, "--json", "--paper-indexing"],
+                     "coefficients json does not read --paper-indexing",
+                     id="fibration_json_ignored_paper_indexing"),
     ]
 
 
@@ -693,6 +709,19 @@ class _Reads:
         return getattr(self.args, name)
 
 
+def _selects_a_mode_reading(args, flag):
+    """Whether giving ``flag`` on the command line of ``args`` selects
+    another mode, one that reads it."""
+    ((dest, takes_value),) = [(dest, takes_value) for f, dest, takes_value, *_
+                              in COMMANDS[args.command][2] if f == flag]
+    probe = SimpleNamespace(**vars(args))
+    setattr(probe, dest, "x" if takes_value else True)
+    with contextlib.suppress(FileFormatError):
+        # a refusal of another option given comes after the mode is set
+        _check_mode(probe)
+    return probe.mode != args.mode and flag in MODES[args.command][probe.mode][0]
+
+
 class TestModeTable:
     def test_handlers_read_what_their_modes_list(self):
         from test_golden import CLI_CASES
@@ -700,11 +729,17 @@ class TestModeTable:
         point, circle = fix("point.json"), fix("circle.json")
         inclusion = fix("point_to_circle.json")
         one_per_mode = [
+            ["compute", point],
+            ["compute", point, "--pages", "--paper-indexing", "--theory", "hp"],
+            ["compute", point, "--json", "--pages"],
             ["transform", point, "--op", "suspend"],
             ["transform", fix("rp2.json"), "--op", "cone"],
             ["transform", point, "--op", "cylinder", "--map", inclusion],
             ["transform", point, "--op", "mapcone", "--map", inclusion, "--theory", "hp"],
             ["fibration", "--base", circle, "--coeff-even", "Z", "--coeff-odd", "0",
+             "--paper-indexing"],
+            ["fibration", "--base", circle, "--coeff-even", "Z", "--coeff-odd", "0", "--json"],
+            ["fibration", "--base", point, "--map", inclusion, "--total", circle,
              "--paper-indexing"],
             ["fibration", "--base", point, "--map", inclusion, "--total", circle, "--json"],
         ]
@@ -717,8 +752,12 @@ class TestModeTable:
                 assert args.func(reads) == 0, argv
             flags = {dest: flag for flag, dest, *_ in COMMANDS[args.command][2]}
             read = {flags[name] for name in reads.names if name in flags}
-            assert read <= set(MODES[args.command][args.mode][0]), argv
-            seen[args.command, args.mode] |= read
+            listed = set(MODES[args.command][args.mode][0])
+            # an option a mode does not list is read only where giving it
+            # would select a mode that reads it (--json in a text mode)
+            assert {flag for flag in read - listed
+                    if not _selects_a_mode_reading(args, flag)} == set(), argv
+            seen[args.command, args.mode] |= read & listed
         assert seen == {(command, mode): set(reads) for command, modes in MODES.items()
                         for mode, (reads, _) in modes.items()}
 

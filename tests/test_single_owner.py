@@ -9,6 +9,7 @@ where d^r lands.  Indented JSON has one
 writer, ``cli._indented``: an ``indent=`` argument would send the json
 module to its pure-Python encoder.  ``cli.page_payload`` hands the
 differentials on as matrices; only the output fills in their zeros.
+``assemble`` reaches its stable page only through ``e_infinity``.
 These are static checks of the sources, in the style of the
 record-equality scan.
 
@@ -126,6 +127,17 @@ def test_page_payload_never_densifies():
         if isinstance(node, ast.FunctionDef) and node.name == "page_payload"
     ]
     assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "tolist"]
+
+
+def test_assemble_reaches_its_stable_page_only_through_e_infinity():
+    # ``e_infinity`` alone decides how far a sequence is turned: up to the
+    # first page without differentials.  ``assemble`` neither turns pages
+    # nor reads them off the sequence.
+    func = _functions("ssengine.py")["assemble"]
+    called = {ast.unparse(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)}
+    assert "e_infinity" in called
+    assert not called & {"turn_page", "stabilize"}
+    assert "pages" not in {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
 
 
 def _bench_layer_names():

@@ -1,6 +1,10 @@
+import json
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccw.cellmodel import cochain_complex
 from nccw.errors import NotACocycleMap, OutOfRange, ShapeMismatch
@@ -14,7 +18,9 @@ from nccw.ssengine import (
     e_infinity,
     from_cellular,
     from_e2_page,
+    generator_orders,
     set_higher_differential,
+    stabilize,
     turn_page,
 )
 
@@ -286,10 +292,11 @@ class TestFromE2Page:
 
 class TestEInfinity:
     def test_sphere_equals_first_page(self):
+        # the first page records no differentials, so it is the stable one
         ss = from_cellular(cochain_complex(sphere_cw(), "K"), "K")
         stable = e_infinity(ss)
         assert stable.entry(0, 0) == Z and stable.entry(2, 0) == Z
-        assert stable.r == 3
+        assert stable is ss.pages[0] and stable.r == 1
 
     def test_i2(self):
         stable = e_infinity(from_cellular(i2_complex(), "K"))
@@ -437,7 +444,7 @@ class TestTurnCost:
         calls = _count_turns(monkeypatch)
         c = cochain_complex(projective_plane_cw(), "K")
         compute_theories(c, "K")
-        assert calls == [1, 2]
+        assert calls == [1]
 
     def test_compute_pages_turns_each_page_once(self, monkeypatch, capsys, tmp_path):
         from nccw.cli import main
@@ -448,3 +455,86 @@ class TestTurnCost:
         assert main(["compute", str(path), "--pages", "--json"]) == 0
         assert calls == [1, 2]
         assert '"r": 3' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_compute_turns_one_page_of_a_tall_tower(self, monkeypatch, capsys, tmp_path, extra):
+        # RP^5: the second page records no differentials, so without
+        # --pages nothing turns it into pages 3 to 6
+        from nccw.cli import main
+
+        calls = _count_turns(monkeypatch)
+        path = tmp_path / "rp5.json"
+        boundaries = [[[0]], [[2]], [[0]], [[2]], [[0]]]
+        path.write_text(json.dumps({"classical_cw": {"counts": [1] * 6,
+                                                     "boundaries": boundaries}}))
+        assert main(["compute", str(path), *extra]) == 0
+        assert calls == [1]
+        assert "Z/2" in capsys.readouterr().out
+
+
+def _with_higher_differentials(rng, ss):
+    """``ss`` turned to a random page r in 2..k, once or twice, with the
+    differentials that ``set_higher_differential`` accepts recorded on
+    each page reached; the last page keeps its own."""
+    for _ in range(rng.randint(1, 2)):
+        target = rng.randint(2, max(ss.k, 2))
+        while ss.current_r < target:
+            ss = turn_page(ss)
+        page = ss.pages[-1]
+        for p, parity in page.support():
+            src = generator_orders(page.entry(p, parity))
+            dst = generator_orders(page.entry(*page.step(p, parity)))
+            if not dst:
+                continue
+            # a torsion generator of order a goes to multiples of what
+            # a kills in the target: nothing in a free one
+            mat = [[rng.randint(-3, 3) * (b // gcd(a, b) if a else 1) for a in src]
+                   for b in dst]
+            try:
+                ss = set_higher_differential(ss, page.r, p, parity, mat)
+            except NotACocycleMap:
+                pass
+            page = ss.pages[-1]
+    return ss
+
+
+class TestStablePage:
+    """``e_infinity`` stops at the first page without differentials; every
+    page ``stabilize`` turns after it has the same entries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["K", "HP"]))
+    def test_default_differentials(self, rng, theory):
+        c = random_cochain_complex(rng, max_k=5, max_rank=4)
+        ss = from_cellular(c.with_ring("Q") if theory == "HP" else c, theory)
+        assert e_infinity(ss).entries == stabilize(ss).pages[-1].entries
+        assert assemble(ss) == assemble(stabilize(ss))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_recorded_higher_differentials(self, rng, cellular):
+        # a cellular sequence fills the even row only, so only its odd
+        # pages can record a differential; a second page fills both rows
+        if cellular:
+            ss = from_cellular(random_cochain_complex(rng, max_k=5, max_rank=3), "K")
+        else:
+            k = rng.randint(2, 5)
+            entries = {(p, parity): FGAbelianGroup.from_cyclic_orders(
+                           [rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(rng.randint(0, 2))])
+                       for p in range(k + 1) for parity in (PARITY_EVEN, PARITY_ODD)}
+            ss = from_e2_page(Page(2, k, "K", entries, {}))
+        ss = _with_higher_differentials(rng, ss)
+        assert e_infinity(ss).entries == stabilize(ss).pages[-1].entries
+        assert assemble(ss) == assemble(stabilize(ss))
+
+    def test_demo_d3(self):
+        # demos/03_page_turning.py: d^3 = [[5]] out of (0, even) on a tower
+        # with cells in dimensions 0 and 3
+        sparse = CochainComplex("Z", [1, 0, 0, 1], [zeros(0, 1), zeros(0, 0), zeros(1, 0)])
+        ss = turn_page(turn_page(from_cellular(sparse, "K")))
+        ss = set_higher_differential(ss, 3, 0, 0, intmat([[5]]))
+        stable = e_infinity(ss)
+        assert stable.r == 4
+        assert dict(stable.entries) == {(3, PARITY_EVEN): FGAbelianGroup.cyclic(5)}
+        assert stable.entries == stabilize(ss).pages[-1].entries
+        assert assemble(ss) == assemble(stabilize(ss))

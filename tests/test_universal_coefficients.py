@@ -31,6 +31,7 @@ from conftest import (
     pairwise_cyclic_group,
     small_complexes,
 )
+from test_reduction import simplex_sphere
 
 groups = st.builds(
     FGAbelianGroup.from_cyclic_orders,
@@ -107,15 +108,30 @@ def count_factorizations():
 @settings(max_examples=60, deadline=None)
 @given(small_complexes())
 def test_one_smith_form_per_reduced_differential(c):
-    # over Z one Smith normal form per reduced differential, over Q one
-    # certified rank and none; no transform is built either way
+    # over Z one Smith normal form per nonzero reduced differential, over
+    # Q one certified rank and none; a zero map is read off ``is_zero``,
+    # and no transform is built either way
     spy_core, spy_rank, spy_transform = count_factorizations()
     with spy_core as core, spy_rank as rank, spy_transform as transform:
         all_cohomology(c)
-    maps = len(reduce_complex(c).differentials)
+    maps = sum(not d.is_zero for d in reduce_complex(c).differentials)
     expected = (maps, 0) if c.ring == "Z" else (0, maps)
     assert (core.call_count, rank.call_count) == expected
     assert transform.call_count == 0
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_simplex_boundary_takes_no_factorization(n, ring):
+    # the boundary of the (n+1)-simplex reduces to a cell in degrees 0
+    # and n joined by zero maps, so nothing is left to factorize
+    c = simplex_sphere(n).with_ring(ring)
+    spy_core, spy_rank, spy_transform = count_factorizations()
+    with spy_core as core, spy_rank as rank, spy_transform:
+        groups = all_cohomology(c)
+    assert (core.call_count, rank.call_count) == (0, 0)
+    point, nothing = FGAbelianGroup.free(1), FGAbelianGroup.trivial()
+    assert groups == [point] + [nothing] * (n - 1) + [point]
 
 
 def test_one_degree_takes_two_smith_forms():
