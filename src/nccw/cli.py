@@ -475,28 +475,21 @@ def _theory(args) -> str:
     return THEORY_HP if args.theory == "hp" else THEORY_K
 
 
-def _emit_result(args, payload: dict) -> None:
-    """Print a result of ``compute`` or ``fibration``.  JSON carries both
-    indexings of every page, so only text with pages reads
-    ``--paper-indexing``."""
-    if args.json:
-        emit(payload, True)
-    else:
-        emit(payload, False, "pages" in payload and args.paper_indexing)
-
-
 def cmd_compute(args) -> int:
     name, built = load_complex(args.path)
     theory = _theory(args)
     ss = ssengine.from_cellular(cellmodel.cochain_complex(built, theory), theory)
     pages = None
-    if args.pages:
-        # --pages prints every page up to E^(k+1); without it, assemble
+    if args.mode == "pages" or args.mode == "json" and args.pages:
+        # every page up to E^(k+1) is printed; without pages, assemble
         # turns pages only until one records no differentials
         ss = ssengine.stabilize(ss)
         pages = ss.pages
     even, odd = ssengine.assemble(ss)
-    _emit_result(args, result_payload(name, theory, even, odd, pages))
+    # JSON carries both indexings of a page, so only text pages read
+    # --paper-indexing
+    emit(result_payload(name, theory, even, odd, pages), args.mode == "json",
+         args.mode == "pages" and args.paper_indexing)
     return EXIT_OK
 
 
@@ -538,7 +531,7 @@ def cmd_fibration(args) -> int:
     base_name, base_model = load_complex(args.base)
     theory = _theory(args)
     base = cellmodel.cochain_complex(base_model, theory)
-    if args.mode.startswith("map"):
+    if args.mode in ("map", "map json"):
         morphism = _load_morphism(args, base, theory)
         g_even, g_odd = fibration.relative_coefficients(morphism, theory)
     else:
@@ -552,7 +545,9 @@ def cmd_fibration(args) -> int:
         raise NCCWError(str(exc)) from exc
     page2 = fibration.leray_serre_e2(data)
     even, odd = fibration.compute_total(page2)
-    _emit_result(args, result_payload(f"fibration({base_name})", theory, even, odd, [page2]))
+    as_json = args.mode in ("coefficients json", "map json")
+    emit(result_payload(f"fibration({base_name})", theory, even, odd, [page2]), as_json,
+         not as_json and args.paper_indexing)
     return EXIT_OK
 
 
@@ -611,20 +606,18 @@ COMMANDS = {
 # indexings of a page, so no json mode reads --paper-indexing.
 _MAPPED = ("--op", "--map", "--theory", "--json")
 _OVER_BASE = ("--base", "--theory", "--not-simple")
-_COEFFICIENTS = ("--coeff-even", "--coeff-odd")
-_MAP_TOTAL = ("--map", "--total")
 MODES = {
     "compute": {"groups": (("--theory",), ()),
                 "pages": (("--theory", "--pages", "--paper-indexing"), ()),
                 "json": (("--theory", "--pages", "--json"), ())},
     "transform": {"suspend": (("--op",), ()), "cone": (("--op", "--theory", "--json"), ()),
                   "cylinder": (_MAPPED, ("--map",)), "mapcone": (_MAPPED, ("--map",))},
-    "fibration": {
-        "coefficients": (_OVER_BASE + ("--paper-indexing",) + _COEFFICIENTS, _COEFFICIENTS),
-        "coefficients json": (_OVER_BASE + ("--json",) + _COEFFICIENTS, _COEFFICIENTS),
-        "map": (_OVER_BASE + ("--paper-indexing",) + _MAP_TOTAL, _MAP_TOTAL),
-        "map json": (_OVER_BASE + ("--json",) + _MAP_TOTAL, _MAP_TOTAL),
-    },
+    # each fibration mode as text, and as json with --json in place of
+    # --paper-indexing
+    "fibration": {mode + suffix: (_OVER_BASE + (flag,) + needs, needs)
+                  for mode, needs in (("coefficients", ("--coeff-even", "--coeff-odd")),
+                                      ("map", ("--map", "--total")))
+                  for suffix, flag in (("", "--paper-indexing"), (" json", "--json"))},
 }
 
 _HELP = ("help", False, None)  # what -h and --help resolve to
