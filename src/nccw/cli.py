@@ -493,8 +493,13 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _load_morphism(args, src_cochain, theory):
+def _load_morphism(args, src_path, src_cochain, theory):
+    """The morphism of ``--map`` out of the complex already loaded from
+    ``src_path``.  A ``--total`` that names that same path is not loaded
+    again: the morphism's codomain is ``src_cochain``."""
     obj = _load_json(args.map)
+    if args.total == src_path:
+        return parse_morphism_maps(obj, src_cochain, src_cochain)
     if args.total is not None:
         _, dst_model = load_complex(args.total)
     else:
@@ -517,7 +522,7 @@ def cmd_transform(args) -> int:
         # the cone is the mapping cone of the identity, which is acyclic
         morphism = constructions.CellularMorphism.identity_on(src)
     else:
-        morphism = _load_morphism(args, src, theory)
+        morphism = _load_morphism(args, args.path, src, theory)
     if args.op == "cylinder":
         # the cylinder deformation retracts onto the codomain
         even, odd = ssengine.compute_theories(morphism.dst, theory)
@@ -532,7 +537,7 @@ def cmd_fibration(args) -> int:
     theory = _theory(args)
     base = cellmodel.cochain_complex(base_model, theory)
     if args.mode in ("map", "map json"):
-        morphism = _load_morphism(args, base, theory)
+        morphism = _load_morphism(args, args.base, base, theory)
         g_even, g_odd = fibration.relative_coefficients(morphism, theory)
     else:
         g_even = parse_group(args.coeff_even)

@@ -32,9 +32,11 @@ Conventions
   transforms are unimodular by construction and no determinant is taken.
   Transforms are built from the logs only where a caller needs them
   (``smith_normal_form``, ``kernel_basis``).  ``matrix_rank`` works over
-  Q by fraction-free elimination and is certified by a nonzero pivot
-  minor and an annihilated kernel.  Over Q (HP) cohomology needs only
-  ranks, so it runs no Smith normal form.
+  Q by fraction-free forward elimination and is certified by a nonzero
+  pivot minor and an annihilated kernel; the kernel comes from a second
+  pass over the pivot rows alone, and only when some column does not
+  pivot.  Over Q (HP) cohomology needs only ranks, so it runs no Smith
+  normal form.
 * :func:`all_cohomology` is the one producer of a complex's groups;
   there is no per-degree variant.
 * d after d = 0 is decided exactly without forming the product
@@ -286,25 +288,24 @@ def determinant(mat: IntMatrix) -> int:
 # transform by construction, and replaying it is the whole certificate.
 
 
-def _nearest_quotient(x: int, p: int) -> int:
-    """The ``q`` with ``x = q * p + r`` and ``2 |r| <= |p|``, for ``p != 0``
-    of either sign: the quotient of the remainder of least absolute value."""
-    q, r = divmod(x, p)
-    return q + 1 if 2 * abs(r) > abs(p) else q
-
-
 def _smith_core(mat: IntMatrix):
     """Diagonalize by elementary row and column operations.
 
     At step ``t`` the nonzero entry of least absolute value in the trailing
-    block becomes the pivot.  Its whole column and then its whole row are
-    reduced by nearest quotients, and the smallest remainder left becomes
-    the next pivot, until both lines are clear.  A pivot that does not
-    divide the trailing block takes in the first row it fails to divide
-    (no scan for a pivot of 1) and its row is reduced again.  Rows and
-    columns before ``t`` are zero off the diagonal, so a row operation
-    touches only the trailing columns, and a column operation made once
-    the pivot column is clear changes only the pivot row.
+    block becomes the pivot, the first such entry by row and then by
+    column; one scan finds each row's least entry and stops at a row
+    holding a unit.  The pivot's whole column and then its whole row are
+    reduced by nearest quotients: ``x = q * p + r`` with ``2 |r| <= |p|``,
+    from ``divmod`` rounded up where its remainder is more than half of
+    ``|p|`` (``divmod`` rounds toward minus infinity for either sign of
+    ``p``).  Zero entries are passed over.  The sweep keeps the first
+    remainder of least absolute value, which becomes the next pivot, until
+    both lines are clear.  A pivot that does not divide the trailing block
+    takes in the first row it fails to divide (no scan for a pivot of 1)
+    and its row is reduced again.  Rows and columns before ``t`` are zero
+    off the diagonal, so a row operation touches only the trailing
+    columns, and a column operation made once the pivot column is clear
+    changes only the pivot row.
 
     Reducing whole lines before the next pivot is chosen keeps the
     intermediate entries near the size of the invariant factors.  A random
@@ -322,10 +323,17 @@ def _smith_core(mat: IntMatrix):
     row_ops: list[tuple] = []
     col_ops: list[tuple] = []
     for t in range(min(m, n)):
-        block = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(a[i][t:], t) if x]
-        if not block:
+        least = 0
+        for i in range(t, m):
+            x = min(filter(None, map(abs, a[i][t:])), default=0)
+            if x and (not least or x < least):
+                least, i_least = x, i
+                if x == 1:
+                    break
+        if not least:
             break
-        _, i, j = min(block)
+        i, row = i_least, a[i_least]
+        j = next(j for j in range(t, n) if row[j] == least or row[j] == -least)
         while True:
             # bring the next pivot to (t, t)
             if i != t:
@@ -337,26 +345,41 @@ def _smith_core(mat: IntMatrix):
                 col_ops.append(("swap", t, j))
             pivot_row = a[t]
             p = pivot_row[t]
+            size = abs(p)
             tail = pivot_row[t:]
+            least = 0
             for i in range(t + 1, m):
-                q = _nearest_quotient(a[i][t], p)
-                if q:
-                    a[i][t:] = [x - q * y for x, y in zip(a[i][t:], tail)]
-                    row_ops.append(("add", i, t, -q))
-            left = [(abs(a[i][t]), i) for i in range(t + 1, m) if a[i][t]]
-            if left:
-                i, j = min(left)[1], t
+                row = a[i]
+                x = row[t]
+                if x:
+                    q, r = divmod(x, p)
+                    if 2 * abs(r) > size:
+                        q += 1
+                        r -= p
+                    if q:
+                        row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
+                        row_ops.append(("add", i, t, -q))
+                    if r and (not least or abs(r) < least):
+                        least, i_least = abs(r), i
+            if least:
+                i, j = i_least, t
                 continue
             for j in range(t + 1, n):
-                q = _nearest_quotient(pivot_row[j], p)
-                if q:
-                    pivot_row[j] -= q * p
-                    col_ops.append(("add", j, t, -q))
-            left = [(abs(pivot_row[j]), j) for j in range(t + 1, n) if pivot_row[j]]
-            if left:
-                i, j = t, min(left)[1]
+                x = pivot_row[j]
+                if x:
+                    q, r = divmod(x, p)
+                    if 2 * abs(r) > size:
+                        q += 1
+                        r -= p
+                    if q:
+                        pivot_row[j] = r
+                        col_ops.append(("add", j, t, -q))
+                    if r and (not least or abs(r) < least):
+                        least, j_least = abs(r), j
+            if least:
+                i, j = t, j_least
                 continue
-            if abs(p) != 1:
+            if size != 1:
                 i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
                 if i is not None:
                     # the pivot row is clear and a[i][t] == 0: the sum is a copy
@@ -470,16 +493,24 @@ def snf_diagonal(mat: IntMatrix) -> list[int]:
 
 
 def _rank_core(mat: IntMatrix):
-    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination.
+    """Fraction-free (Bareiss 1968) elimination, forward only.
 
-    After the pivot ``p`` in column ``c`` every other row becomes
-    ``(p * row - row[c] * pivot_row) / prev`` with ``prev`` the previous
-    pivot; the division is exact because every entry stays a minor of the
-    input, and every pivot row ends with the last pivot ``delta`` in its own
-    pivot column and zeros in the others.  Returns the input rows and the
-    columns of the pivots, and the kernel read off the eliminated rows: for
-    each free column ``f``, ``delta`` at ``f`` and ``-row_i[f]`` at the
-    pivot column of row ``i``.
+    The pivot in column ``c`` is the first row at or below the current one
+    with a nonzero entry there.  After the pivot ``p`` every row below it
+    becomes ``(p * row - row[c] * pivot_row) / prev`` on the columns after
+    ``c`` only, with ``prev`` the previous pivot; the division is exact
+    because every entry stays a minor of the input.  Returns the input rows
+    and the columns of the pivots, and a kernel.  When every column pivots
+    the kernel is empty (shape ``(n, 0)``) and none is built.  Otherwise it
+    is read off a Bareiss Gauss-Jordan pass over only the ``r`` pivot rows:
+    a pivot row reaches its own step exactly as the forward pass left it,
+    so the pass starts there and each pivot row reduces the pivot rows
+    above it, about ``r^2 n / 2`` updates.  The pass ends with the last
+    pivot ``delta`` in each row's own pivot column and zeros in the other
+    pivot columns; for each free column ``f`` the kernel has ``delta`` at
+    ``f`` and ``-row_i[f]`` at the pivot column of row ``i``.  Pivot rows
+    are combined only with each other, so these are the rows a Gauss-Jordan
+    pass over the whole input would end with.
     """
     m, n = mat.shape
     a = mat.tolist()
@@ -495,13 +526,30 @@ def _rank_core(mat: IntMatrix):
             continue
         a[k], a[r] = a[r], a[k]
         rows[k], rows[r] = rows[r], rows[k]
-        pivot_row, p = a[k], a[k][c]
-        for i in range(m):
-            if i != k:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        p = a[k][c]
+        tail = a[k][c + 1:]
+        for row in a[k + 1:]:
+            f = row[c]
+            if f:
+                row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            else:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
         prev = p
         cols.append(c)
+    rank = len(cols)
+    if rank == n:
+        return rows[:rank], cols, IntMatrix((n, 0), [{} for _ in range(n)])
+    # the Gauss-Jordan pass: pivot row k as the forward pass left it (its
+    # unwritten columns before c are zero) reduces the pivot rows above it
+    prev = 1
+    for k, c in enumerate(cols):
+        pivot_row = a[k]
+        pivot_row[:c] = [0] * c
+        p = pivot_row[c]
+        for i, row in enumerate(a[:k]):
+            f = row[c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
     pivot = set(cols)
     free = [f for f in range(n) if f not in pivot]
     kernel: list[dict[int, int]] = [{} for _ in range(n)]
@@ -509,7 +557,7 @@ def _rank_core(mat: IntMatrix):
         kernel[f] = {t: prev}
     for i, c in enumerate(cols):
         kernel[c] = {t: -a[i][f] for t, f in enumerate(free) if a[i][f]}
-    return rows[: len(cols)], cols, IntMatrix((n, len(free)), kernel)
+    return rows[:rank], cols, IntMatrix((n, len(free)), kernel)
 
 
 def _check_rank(mat: IntMatrix, rows, cols, kernel: IntMatrix) -> None:
@@ -864,10 +912,11 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
     shortest first, as they stand when the pass starts, and a row's pivot
     is its unit in the column with the fewest entries: the update then
     touches at most ``(row length - 1) * (column length - 1)`` entries,
-    Markowitz's bound on fill-in.  The work runs on sparse rows, and the
-    result is an ordinary ``CochainComplex``, so d after d = 0 is checked
-    again on what remains.  A complex without unit entries comes back
-    unchanged.
+    Markowitz's bound on fill-in.  The work runs on sparse rows, with the
+    pivot row's other entries listed once per pivot; each column's set of
+    rows changes only where an entry fills in or cancels.  The result is
+    an ordinary ``CochainComplex``, so d after d = 0 is checked again on
+    what remains.  A complex without unit entries comes back unchanged.
     """
     # rows[s]: generator of degree s + 1 -> {generator of degree s: entry};
     # cols[s]: generator of degree s -> generators of degree s + 1 with an entry
@@ -895,17 +944,24 @@ def reduce_complex(c: CochainComplex) -> CochainComplex:
         u = pivot_row[j]
         for j2 in pivot_row:
             col_map[j2].discard(i)
+        # the pivot row's other entries times -u, listed once; a one-entry
+        # row has none and only drops column j from the rows that meet it
+        others = ()
+        if len(pivot_row) > 1:
+            others = [(j2, -u * v) for j2, v in pivot_row.items() if j2 != j]
         for r in col_map.pop(j):
             row = row_map[r]
-            f = row.pop(j) * u
-            for j2, v in pivot_row.items():
-                if j2 == j:
-                    continue
-                x = row.get(j2, 0) - f * v
-                if x:
-                    row[j2] = x
+            f = row.pop(j)
+            for j2, w in others:
+                x = row.get(j2)
+                if x is None:
+                    # fill-in: f and w are nonzero
+                    row[j2] = f * w
                     col_map[j2].add(r)
+                elif x := x + f * w:
+                    row[j2] = x
                 else:
+                    # cancellation
                     del row[j2]
                     col_map[j2].discard(r)
             if not row:

@@ -180,6 +180,44 @@ def test_rank_witness_of_the_core_passes():
     assert len(cols) == 2 and kernel.shape == (3, 1)
 
 
+@st.composite
+def rank_cases(draw):
+    """Matrices up to 12x12 and whether every column pivots: either a
+    product, entries -9..9, through an inner dimension below both sides
+    (never of full rank), or a nonsingular square with its rows shuffled
+    and random rows stacked under it (every column pivots).  The square is
+    strictly diagonally dominant before the shuffle, so it is nonsingular."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        k = draw(st.integers(0, min(m, n) - 1))
+        a = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+        b = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+        return dense_product(a, b, n), (m, n), False
+    n = draw(st.integers(1, 12))
+    square = []
+    for i in range(n):
+        row = draw(st.lists(entries, min_size=n, max_size=n))
+        row[i] = draw(st.sampled_from((-1, 1))) * (sum(abs(x) for x in row) + 1)
+        square.append(row)
+    extra = draw(st.integers(0, 12 - n))
+    rows = draw(st.permutations(square)) + [
+        draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(extra)]
+    return rows, (n + extra, n), True
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_cases())
+def test_rank_core_is_certified_at_larger_shapes(case):
+    rows, shape, every_column_pivots = case
+    mat = intmat(rows, shape=shape)
+    pivot_rows, cols, kernel = exacthom._rank_core(mat)
+    exacthom._check_rank(mat, pivot_rows, cols, kernel)
+    assert len(cols) == sympy_matrix(rows, shape).rank()
+    assert (len(cols) == shape[1]) == every_column_pivots
+    if every_column_pivots:
+        assert kernel.shape == (shape[1], 0)
+
+
 def test_singular_pivot_minor_fails():
     # rank 1, claimed to be 2 on a singular minor; the empty kernel would
     # pass the rank <= r half

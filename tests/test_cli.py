@@ -553,6 +553,28 @@ class TestFibration:
         # so over a point base the totals are the coefficients themselves
         assert "even: 0" in out and "odd: Z" in out
 
+    def test_each_path_is_built_once(self, capsys, monkeypatch, tmp_path):
+        # the identity of the circle, with --total the same path as --base
+        # and then a copy of it at another path: one build per distinct path
+        # and the same output either way
+        mpath = tmp_path / "identity.json"
+        mpath.write_text(json.dumps({"maps": [[[1]], [[1]]]}))
+        copy = tmp_path / "circle_copy.json"
+        with open(fix("circle.json"), encoding="utf-8") as fh:
+            copy.write_text(fh.read())
+        builds = []
+        real_build = cellmodel.build
+        monkeypatch.setattr(cellmodel, "build",
+                            lambda stages: builds.append(1) or real_build(stages))
+        outputs = {}
+        for total, expected in ((fix("circle.json"), 1), (str(copy), 2)):
+            builds.clear()
+            code, outputs[expected], _ = run(capsys, "fibration", "--base", fix("circle.json"),
+                                              "--map", str(mpath), "--total", total)
+            assert code == 0
+            assert len(builds) == expected
+        assert outputs[1] == outputs[2]
+
     def test_not_simple_refused(self, capsys):
         code, _, err = run(
             capsys,

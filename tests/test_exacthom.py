@@ -89,10 +89,17 @@ class TestSmithNormalForm:
 @example(5, -10)
 @example(-5, 10)
 def test_nearest_quotient_leaves_the_least_remainder(x, p):
-    # divmod rounds toward -infinity, so a negative pivot is where a sign
-    # slip would show
-    r = x - eh._nearest_quotient(x, p) * p
-    assert 2 * abs(r) <= abs(p)
+    # the Smith core's first operation on the row [p, x] reduces the entry
+    # of larger absolute value by the other one; divmod rounds toward
+    # -infinity, so a negative pivot is where a sign slip would show
+    _, _, col_ops = eh._smith_core(intmat([[p, x]]))
+    if x == 0:
+        assert col_ops == []
+        return
+    pivot, other = (p, x) if abs(p) <= abs(x) else (x, p)
+    _, _, _, k = next(op for op in col_ops if op[0] == "add")
+    r = other + k * pivot
+    assert 2 * abs(r) <= abs(pivot)
 
 
 class TestCokernelEnumerationOracle:
