@@ -83,23 +83,130 @@ class TestSmithNormalForm:
             assert kb.shape[1] == m.shape[1] - eh.matrix_rank(m)
 
 
+def nearest(x, p):
+    """The quotient of the remainder of least absolute value, ``2 |r| <= |p|``."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
 @given(st.integers(), st.integers().filter(bool))
 @example(7, -2)
 @example(-7, -2)
 @example(5, -10)
 @example(-5, 10)
+@example(3, 5)
+@example(-3, -5)
 def test_nearest_quotient_leaves_the_least_remainder(x, p):
-    # the Smith core's first operation on the row [p, x] reduces the entry
-    # of larger absolute value by the other one; divmod rounds toward
-    # -infinity, so a negative pivot is where a sign slip would show
-    _, _, col_ops = eh._smith_core(intmat([[p, x]]))
-    if x == 0:
-        assert col_ops == []
-        return
-    pivot, other = (p, x) if abs(p) <= abs(x) else (x, p)
-    _, _, _, k = next(op for op in col_ops if op[0] == "add")
-    r = other + k * pivot
-    assert 2 * abs(r) <= abs(pivot)
+    # y = x + k p with |y| >= 2 |p|, so p is the least entry and pivots, and
+    # reducing y leaves x's remainder; the row sweep reduces [[p], [y]] and
+    # the column sweep [[p, y]].  divmod rounds toward -infinity, so a
+    # negative pivot is where a sign slip would show
+    k = (abs(x) // abs(p) + 2) * (1 if (x >= 0) == (p > 0) else -1)
+    y = x + k * p
+    for rows, log in (([[p], [y]], 1), ([[p, y]], 2)):
+        first = eh._smith_core(intmat(rows))[log][0]
+        assert first == ("add", 1, 0, -(k + nearest(x, p)))
+        assert 2 * abs(y + first[3] * p) <= abs(p)
+
+
+def replay_smith_core(rows):
+    """Take ``_smith_core``'s logs on ``rows`` one operation at a time, in the
+    order its docstring gives, and apply each to a copy of ``rows``.
+
+    Every operation must be the one the rule names: the least entry as
+    pivot, first by row and then by column; every nonzero entry of its
+    column, then of its row, reduced by its nearest quotient; the first
+    least remainder as the next pivot; the first row the pivot does not
+    divide taken in.  Each reduced entry is checked to satisfy
+    ``2 |r| <= |p|``, and the copy must end as the core's diagonal.
+    Returns the ``(sweep, |x| < |p|)`` pairs the reductions met.
+    """
+    d, row_log, col_log = eh._smith_core(intmat(rows))
+    row_log, col_log = iter(row_log), iter(col_log)
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0])
+    met = set()
+
+    def row_op(op):
+        assert next(row_log, None) == op
+        if op[0] == "swap":
+            a[op[1]], a[op[2]] = a[op[2]], a[op[1]]
+        elif op[0] == "add":
+            a[op[1]] = [x + op[3] * y for x, y in zip(a[op[1]], a[op[2]])]
+        else:
+            a[op[1]] = [-x for x in a[op[1]]]
+
+    def col_op(op):
+        assert next(col_log, None) == op
+        for r in a:
+            if op[0] == "swap":
+                r[op[1]], r[op[2]] = r[op[2]], r[op[1]]
+            else:
+                r[op[1]] += op[3] * r[op[2]]
+
+    for t in range(min(m, n)):
+        block = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        while True:
+            if i != t:
+                row_op(("swap", t, i))
+            if j != t:
+                col_op(("swap", t, j))
+            p = a[t][t]
+            for i in range(t + 1, m):
+                x = a[i][t]
+                if nearest(x, p):
+                    row_op(("add", i, t, -nearest(x, p)))
+                    assert 2 * abs(a[i][t]) <= abs(p)
+                    met.add(("row", abs(x) < abs(p)))
+            left = [(abs(a[i][t]), i) for i in range(t + 1, m) if a[i][t]]
+            if left:
+                i, j = min(left)[1], t
+                continue
+            for j in range(t + 1, n):
+                x = a[t][j]
+                if nearest(x, p):
+                    col_op(("add", j, t, -nearest(x, p)))
+                    assert 2 * abs(a[t][j]) <= abs(p)
+                    met.add(("column", abs(x) < abs(p)))
+            left = [(abs(a[t][j]), j) for j in range(t + 1, n) if a[t][j]]
+            if left:
+                i, j = t, min(left)[1]
+                continue
+            i = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
+            if i is None:
+                break
+            row_op(("add", t, i, 1))
+            i = j = t
+        if p < 0:
+            row_op(("neg", t))
+    assert next(row_log, None) is None and next(col_log, None) is None
+    assert a == d.tolist()
+    return met
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=1, max_size=5
+        )
+    )
+)
+@example([[10, 14], [20, 31]])
+@example([[8, 16], [12, 19]])
+def test_smith_core_reduces_by_nearest_quotients(rows):
+    replay_smith_core(rows)
+
+
+def test_both_sweeps_reduce_entries_smaller_than_the_pivot():
+    # an entry smaller than the pivot meets it once a remainder has become
+    # the pivot.  [[10, 14], [20, 31]]: the column sweep leaves 4, which
+    # pivots over the 3 below it.  [[8, 16], [12, 19]]: the row sweep leaves
+    # 4, which pivots over the 3 beside it
+    assert ("row", True) in replay_smith_core([[10, 14], [20, 31]])
+    assert ("column", True) in replay_smith_core([[8, 16], [12, 19]])
 
 
 class TestCokernelEnumerationOracle:
