@@ -18,7 +18,6 @@ from .errors import (
     InvalidMorphism,
     NCCWError,
     NotACocycleMap,
-    NotSimple,
     OutOfRange,
     ShapeMismatch,
     SizeOverflow,
@@ -74,7 +73,6 @@ from .constructions import (
     suspend,
 )
 from .fibration import (
-    SerreFibrationData,
     compute_total,
     leray_serre_e2,
     relative_coefficients,

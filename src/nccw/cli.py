@@ -21,7 +21,7 @@ Subcommands
 ``fibration --base PATH --coeff-even S --coeff-odd S [BASE OPTIONS]``
     Coefficient spectral sequence over a base with the given groups:
     dumps the second page and the assembled totals.  The BASE OPTIONS are
-    ``[--theory k|hp] [--not-simple] [--paper-indexing | --json]``.
+    ``[--theory k|hp] [--paper-indexing | --json]``.
 ``fibration --base PATH --map PATH --total PATH [BASE OPTIONS]``
     The same with the relative groups of a morphism as coefficients.
 
@@ -543,12 +543,9 @@ def cmd_fibration(args) -> int:
         g_even = parse_group(args.coeff_even)
         g_odd = parse_group(args.coeff_odd)
     try:
-        data = fibration.SerreFibrationData(
-            base, g_even, g_odd, theory, simple=not args.not_simple
-        )
+        page2 = fibration.leray_serre_e2(base, g_even, g_odd, theory)
     except ValueError as exc:
         raise NCCWError(str(exc)) from exc
-    page2 = fibration.leray_serre_e2(data)
     even, odd = fibration.compute_total(page2)
     as_json = args.mode in ("coefficients json", "map json")
     emit(result_payload(f"fibration({base_name})", theory, even, odd, [page2]), as_json,
@@ -598,8 +595,6 @@ COMMANDS = {
          ("--map", "map", True, None, False, "morphism file from the base into the total model"),
          ("--total", "total", True, None, False, "total complex file"),
          _THEORY,
-         ("--not-simple", "not_simple", False, None, False,
-          "declare the local coefficients non-simple, which is refused"),
          _PAPER_INDEXING,
          _JSON),
         {"func": cmd_fibration, "theory": "k"},
@@ -610,7 +605,7 @@ COMMANDS = {
 # option at its default value counts as not given.  JSON carries both
 # indexings of a page, so no json mode reads --paper-indexing.
 _MAPPED = ("--op", "--map", "--theory", "--json")
-_OVER_BASE = ("--base", "--theory", "--not-simple")
+_OVER_BASE = ("--base", "--theory")
 MODES = {
     "compute": {"groups": (("--theory",), ()),
                 "pages": (("--theory", "--pages", "--paper-indexing"), ()),

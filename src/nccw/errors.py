@@ -54,9 +54,5 @@ class UnresolvedExtension(NCCWError):
     """An assembled group is only known up to extension and cannot be reused."""
 
 
-class NotSimple(NCCWError):
-    """The local coefficient system was declared non-simple; refusing to compute."""
-
-
 class CertificateFailed(NCCWError):
     """An exact computation failed the certificate that proves its result."""

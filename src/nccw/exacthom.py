@@ -22,8 +22,12 @@ Conventions
   index ``p`` maps degree ``p`` to degree ``p + 1`` and has shape
   ``(c_{p+1}, c_p)``.  A chain complex enters by transposing its boundary
   matrices once, as :func:`nccw.cellmodel.from_classical_cw` does.
-* Every result is certified before it is used, and a failed certificate
-  raises :class:`nccw.errors.CertificateFailed`.  A zero map's rank 0
+* Smith normal forms and ranks are certified before they are used, and
+  a failed certificate raises :class:`nccw.errors.CertificateFailed`.
+  ``reduce_complex`` is only checked, not certified: its remainder must
+  satisfy d after d = 0 (else ``ComplexViolation``) and keep the Euler
+  characteristic (else ``CertificateFailed``), which does not prove it
+  chain-homotopy equivalent to the input.  A zero map's rank 0
   and empty torsion are read off ``IntMatrix.is_zero``, an exact test of
   every row, so no factorization is made and none needs a certificate.
   The Smith normal form core logs elementary row and column operations
@@ -1040,21 +1044,21 @@ MAX_LISTED_SUMMANDS = 10**6
 
 
 def cohomology_with_coefficients(
-    c: CochainComplex, group: FGAbelianGroup, plain: list[FGAbelianGroup]
+    plain: list[FGAbelianGroup], group: FGAbelianGroup
 ) -> list[FGAbelianGroup]:
-    """Cohomology of ``c`` with coefficients in ``group``, degree by degree.
+    """Cohomology with coefficients in ``group``, degree by degree, of a
+    complex whose plain cohomology is ``plain``, the caller's
+    ``all_cohomology(c)``.
 
     The universal coefficient theorem for a cochain complex of free
     modules (Hatcher, *Algebraic Topology*, Thm 3A.3, with the degrees
     reversed) gives H^p(C; G) = H^p(C) (x) G (+) Tor(H^{p+1}(C), G), so
-    everything follows from ``plain``, the caller's ``all_cohomology(c)``,
-    by gcd arithmetic: Z (x) G = G, and Z/a (x) Z/b = Tor(Z/a, Z/b) =
-    Z/gcd(a, b).  Over Q the group must be torsion-free.  Free summands
-    are counted, cyclic ones listed; a degree that would list more than
-    ``MAX_LISTED_SUMMANDS`` of them raises ``OutOfRange``.
+    everything follows from ``plain`` by gcd arithmetic: Z (x) G = G, and
+    Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  Over Q the caller passes
+    a torsion-free group (``fibration.leray_serre_e2`` checks it).  Free
+    summands are counted, cyclic ones listed; a degree that would list
+    more than ``MAX_LISTED_SUMMANDS`` of them raises ``OutOfRange``.
     """
-    if c.ring == RING_Q and group.torsion:
-        raise ValueError("rational coefficient cohomology needs a torsion-free group")
     plain = [*plain, FGAbelianGroup.trivial()]
     out = []
     for p, (h, nxt) in enumerate(zip(plain, plain[1:])):

@@ -482,7 +482,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="morphism file from the base into the total model")
     p.add_argument("--total", help="total complex file (with --map)")
     p.add_argument("--theory", choices=["k", "hp"], default="k")
-    p.add_argument("--not-simple", action="store_true", dest="not_simple")
     p.add_argument("--paper-indexing", action="store_true", dest="paper_indexing")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fibration)

@@ -25,7 +25,7 @@ from nccw.exacthom import (
     intmat,
     smith_normal_form,
 )
-from nccw.fibration import SerreFibrationData, compute_total, leray_serre_e2
+from nccw.fibration import compute_total, leray_serre_e2
 from nccw.ssengine import assemble, compute_theories, from_cellular, turn_page
 
 from conftest import (
@@ -184,7 +184,7 @@ def test_criterion_5_construction_laws():
 
 def test_criterion_6_leray_serre_cross_checks():
     circle = cochain_complex(circle_cw(), "K")
-    even, odd = compute_total(leray_serre_e2(SerreFibrationData(circle, Z, Z, "K")))
+    even, odd = compute_total(leray_serre_e2(circle, Z, Z, "K"))
     torus_even, torus_odd = compute_theories(cochain_complex(torus_cw(), "K"), "K")
     assert even.group == torus_even.group == FGAbelianGroup.free(2)
     assert odd.group == torus_odd.group == FGAbelianGroup.free(2)
@@ -195,11 +195,11 @@ def test_criterion_6_leray_serre_cross_checks():
         (FGAbelianGroup.free(2), TRIVIAL),
         (FGAbelianGroup(1, (4,)), FGAbelianGroup.cyclic(3)),
     ]:
-        ev, od = compute_total(leray_serre_e2(SerreFibrationData(point, g_even, g_odd, "K")))
+        ev, od = compute_total(leray_serre_e2(point, g_even, g_odd, "K"))
         assert ev.group == g_even and od.group == g_odd
 
     i2 = cochain_complex(dimension_drop_model(2), "K")
-    ev, od = compute_total(leray_serre_e2(SerreFibrationData(i2, Z, TRIVIAL, "K")))
+    ev, od = compute_total(leray_serre_e2(i2, Z, TRIVIAL, "K"))
     assert ev.group == Z and od.group == FGAbelianGroup.cyclic(2)
     report(6, "circle x (Z,Z) = T2, point base reproduces coefficients, I2 base recurs")
 

@@ -188,7 +188,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [[], ["compute"], ["compute", "--theory", "x", "f.json"], ["frobnicate"],
-         ["compute", fix("rp2.json"), "--no-such-flag"], ["fibration", "--base"]],
+         ["compute", fix("rp2.json"), "--no-such-flag"], ["fibration", "--base"],
+         ["fibration", "--base", fix("point.json"), "--coeff-even", "Z", "--coeff-odd", "0",
+          "--not-simple"]],
     )
     def test_bad_command_line_is_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -574,21 +576,6 @@ class TestFibration:
             assert code == 0
             assert len(builds) == expected
         assert outputs[1] == outputs[2]
-
-    def test_not_simple_refused(self, capsys):
-        code, _, err = run(
-            capsys,
-            "fibration",
-            "--base",
-            fix("circle.json"),
-            "--coeff-even",
-            "Z",
-            "--coeff-odd",
-            "0",
-            "--not-simple",
-        )
-        assert code == 1
-        assert "non-simple" in err
 
     def test_unresolved_extension_refused(self, capsys, tmp_path):
         zero_complex = {"name": "zero", "stages": [{"dim": 0, "algebra": []}]}

@@ -426,20 +426,20 @@ class TestCohomology:
 class TestCoefficients:
     def test_circle_with_z2(self):
         c = CochainComplex("Z", [1, 1], [intmat([[0]])])
-        got = cohomology_with_coefficients(c, FGAbelianGroup.free(2), all_cohomology(c))
+        got = cohomology_with_coefficients(all_cohomology(c), FGAbelianGroup.free(2))
         assert got == [FGAbelianGroup.free(2), FGAbelianGroup.free(2)]
 
     def test_trivial_coefficients(self):
         rng = random.Random(1)
         c = random_cochain_complex(rng)
-        got = cohomology_with_coefficients(c, FGAbelianGroup.trivial(), all_cohomology(c))
+        got = cohomology_with_coefficients(all_cohomology(c), FGAbelianGroup.trivial())
         assert all(g.is_trivial for g in got)
 
     def test_rp2_with_mod_two(self, rp2):
         from nccw.cellmodel import cochain_complex
 
         c = cochain_complex(rp2, "K")
-        got = cohomology_with_coefficients(c, FGAbelianGroup.cyclic(2), all_cohomology(c))
+        got = cohomology_with_coefficients(all_cohomology(c), FGAbelianGroup.cyclic(2))
         assert got == [FGAbelianGroup.cyclic(2)] * 3
 
     def test_against_tor_tensor_oracle(self):
@@ -449,7 +449,7 @@ class TestCoefficients:
             g = FGAbelianGroup.from_cyclic_orders(
                 [rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
             )
-            got = cohomology_with_coefficients(c, g, all_cohomology(c))
+            got = cohomology_with_coefficients(all_cohomology(c), g)
             assert got == coefficient_cohomology_oracle(c, g)
 
 

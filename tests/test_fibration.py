@@ -5,14 +5,9 @@ import pytest
 
 from nccw.cellmodel import cochain_complex
 from nccw.constructions import CellularMorphism
-from nccw.errors import NotSimple, UnresolvedExtension
+from nccw.errors import UnresolvedExtension
 from nccw.exacthom import CochainComplex, FGAbelianGroup, intmat, matrix_rank
-from nccw.fibration import (
-    SerreFibrationData,
-    compute_total,
-    leray_serre_e2,
-    relative_coefficients,
-)
+from nccw.fibration import compute_total, leray_serre_e2, relative_coefficients
 from nccw.ssengine import PARITY_EVEN, PARITY_ODD, compute_theories
 
 from conftest import (
@@ -87,25 +82,39 @@ class TestRelativeCoefficients:
             relative_coefficients(f, "K")
 
 
-class TestSerreFibrationData:
-    def test_hp_torsion_rejected(self):
+class TestSecondPageRefusals:
+    """Each refusal comes before any cohomology is computed."""
+
+    @pytest.fixture
+    def cohomology_calls(self, monkeypatch):
+        import nccw.fibration
+
+        calls = []
+        original = nccw.fibration.all_cohomology
+        monkeypatch.setattr(nccw.fibration, "all_cohomology",
+                            lambda c: calls.append(c) or original(c))
+        return calls
+
+    def test_hp_torsion_rejected(self, cohomology_calls):
         base = cochain_complex(circle_model(), "HP")
-        with pytest.raises(ValueError):
-            SerreFibrationData(base, FGAbelianGroup.cyclic(2), Z, "HP")
+        with pytest.raises(ValueError, match="^HP coefficients must be torsion-free$"):
+            leray_serre_e2(base, FGAbelianGroup.cyclic(2), Z, "HP")
+        assert cohomology_calls == []
 
-    def test_ring_checked(self):
-        with pytest.raises(ValueError):
-            SerreFibrationData(circle_cochain(), Z, Z, "HP")
+    def test_ring_checked(self, cohomology_calls):
+        with pytest.raises(ValueError, match="^theory HP needs a base over Q$"):
+            leray_serre_e2(circle_cochain(), Z, Z, "HP")
+        assert cohomology_calls == []
 
-    def test_unknown_theory(self):
+    def test_unknown_theory(self, cohomology_calls):
         with pytest.raises(ValueError, match="unknown theory 'X'"):
-            SerreFibrationData(circle_cochain(), Z, Z, "X")
+            leray_serre_e2(circle_cochain(), Z, Z, "X")
+        assert cohomology_calls == []
 
 
 class TestLeraySerreE2:
     def test_circle_with_free_coefficients(self):
-        data = SerreFibrationData(circle_cochain(), Z, Z, "K")
-        page = leray_serre_e2(data)
+        page = leray_serre_e2(circle_cochain(), Z, Z, "K")
         assert page.r == 2
         expected = {(p, parity) for p in (0, 1) for parity in (PARITY_EVEN, PARITY_ODD)}
         assert set(page.entries.keys()) == expected
@@ -114,19 +123,14 @@ class TestLeraySerreE2:
     def test_point_base_reproduces_coefficients(self):
         g_even = FGAbelianGroup(2, (3,))
         g_odd = FGAbelianGroup.cyclic(4)
-        page = leray_serre_e2(SerreFibrationData(POINT, g_even, g_odd, "K"))
+        page = leray_serre_e2(POINT, g_even, g_odd, "K")
         assert page.entry(0, PARITY_EVEN) == g_even
         assert page.entry(0, PARITY_ODD) == g_odd
 
     def test_zero_coefficients_zero_page(self):
         t = FGAbelianGroup.trivial()
-        page = leray_serre_e2(SerreFibrationData(circle_cochain(), t, t, "K"))
+        page = leray_serre_e2(circle_cochain(), t, t, "K")
         assert not page.entries
-
-    def test_not_simple_refused(self):
-        data = SerreFibrationData(circle_cochain(), Z, Z, "K", simple=False)
-        with pytest.raises(NotSimple):
-            leray_serre_e2(data)
 
     def test_point_coefficients_match_cellular_e2(self):
         # coefficients of a point reduce to the plain second page of the base
@@ -135,39 +139,33 @@ class TestLeraySerreE2:
         rng = random.Random(101)
         for _ in range(10):
             base = random_cochain_complex(rng, max_k=3, max_rank=3)
-            page = leray_serre_e2(
-                SerreFibrationData(base, Z, FGAbelianGroup.trivial(), "K")
-            )
+            page = leray_serre_e2(base, Z, FGAbelianGroup.trivial(), "K")
             cellular = turn_page(from_cellular(base, "K")).pages[-1]
             assert dict(page.entries) == dict(cellular.entries)
 
     def test_hp_counts_ranks(self):
         base = cochain_complex(circle_model(), "HP")
-        page = leray_serre_e2(
-            SerreFibrationData(base, FGAbelianGroup.free(2), FGAbelianGroup.trivial(), "HP")
-        )
+        page = leray_serre_e2(base, FGAbelianGroup.free(2), FGAbelianGroup.trivial(), "HP")
         assert page.entry(0, PARITY_EVEN) == FGAbelianGroup.free(2)
         assert page.entry(1, PARITY_EVEN) == FGAbelianGroup.free(2)
 
 
 class TestComputeTotal:
     def test_torus_cross_check(self):
-        data = SerreFibrationData(circle_cochain(), Z, Z, "K")
-        even, odd = compute_total(leray_serre_e2(data))
+        even, odd = compute_total(leray_serre_e2(circle_cochain(), Z, Z, "K"))
         direct_even, direct_odd = compute_theories(cochain_complex(torus_cw(), "K"), "K")
         assert even.group == direct_even.group == FGAbelianGroup.free(2)
         assert odd.group == direct_odd.group == FGAbelianGroup.free(2)
         assert {a.note for a in (even, odd, direct_even, direct_odd)} == {"exact"}
 
     def test_point_base(self):
-        data = SerreFibrationData(POINT, FGAbelianGroup.free(2), FGAbelianGroup.trivial(), "K")
-        even, odd = compute_total(leray_serre_e2(data))
+        page = leray_serre_e2(POINT, FGAbelianGroup.free(2), FGAbelianGroup.trivial(), "K")
+        even, odd = compute_total(page)
         assert even.group == FGAbelianGroup.free(2) and odd.group.is_trivial
 
     def test_dimension_drop_base(self):
         base = cochain_complex(dimension_drop_model(2), "K")
-        data = SerreFibrationData(base, Z, FGAbelianGroup.trivial(), "K")
-        even, odd = compute_total(leray_serre_e2(data))
+        even, odd = compute_total(leray_serre_e2(base, Z, FGAbelianGroup.trivial(), "K"))
         assert even.group == Z
         assert odd.group == FGAbelianGroup.cyclic(2)
 
@@ -179,8 +177,7 @@ class TestComputeTotal:
             base = random_cochain_complex(rng, max_k=2, max_rank=3)
             fiber_even = FGAbelianGroup.free(rng.randint(0, 2))
             fiber_odd = FGAbelianGroup.free(rng.randint(0, 2))
-            data = SerreFibrationData(base, fiber_even, fiber_odd, "K")
-            even, odd = compute_total(leray_serre_e2(data))
+            even, odd = compute_total(leray_serre_e2(base, fiber_even, fiber_odd, "K"))
             be, bo = parity_sums(base)
             want_even_rank = (
                 be.free_rank * fiber_even.free_rank + bo.free_rank * fiber_odd.free_rank
@@ -216,7 +213,7 @@ class TestSecondPageBuiltOnce:
         for _ in range(10):
             base = random_cochain_complex(rng, max_k=3, max_rank=3, ring="Q")
             g = FGAbelianGroup.free(rng.randint(1, 3))
-            page = leray_serre_e2(SerreFibrationData(base, g, g, "HP"))
+            page = leray_serre_e2(base, g, g, "HP")
             for p in range(base.top_degree + 1):
                 rank = (base.rank(p) - matrix_rank(base.differential(p))
                         - matrix_rank(base.differential(p - 1)))
@@ -226,11 +223,10 @@ class TestSecondPageBuiltOnce:
     def test_compute_total_takes_the_built_page(self, monkeypatch):
         import nccw.fibration
 
-        data = SerreFibrationData(circle_cochain(), Z, FGAbelianGroup.cyclic(2), "K")
-        page2 = leray_serre_e2(data)
+        page2 = leray_serre_e2(circle_cochain(), Z, FGAbelianGroup.cyclic(2), "K")
         expected = compute_total(page2)
 
-        def refuse(_fib):
+        def refuse(*_args):
             raise AssertionError("second page built again")
 
         monkeypatch.setattr(nccw.fibration, "leray_serre_e2", refuse)
@@ -244,9 +240,9 @@ class TestSecondPageBuiltOnce:
         calls = []
         original = nccw.fibration.leray_serre_e2
 
-        def counting(fib):
-            calls.append(fib)
-            return original(fib)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
         monkeypatch.setattr(nccw.fibration, "leray_serre_e2", counting)
         path = tmp_path / "circle.json"

@@ -152,7 +152,7 @@ def test_each_bad_value_at_each_place(tmp_path, name, value):
 
 SUBCOMMANDS = ["validate", "compute", "transform", "fibration"]
 FLAGS = ["--theory", "--pages", "--paper-indexing", "--json", "--op", "--map", "--total",
-         "--base", "--coeff-even", "--coeff-odd", "--not-simple", "--theory=hp", "--op=cone",
+         "--base", "--coeff-even", "--coeff-odd", "--theory=hp", "--op=cone",
          "--th", "--pa", "--co", "--", "-", "-x", "--no-such-flag"]
 VALUES = ["k", "hp", "K", "suspend", "cone", "cylinder", "mapcone", "Z", "Z/2+Z", "Q^2",
           "0", "Z^-1", "", POINT, TOTAL, os.path.join(FIXTURES, "rp2.json"),

@@ -3,10 +3,10 @@
 Every exported record type is checked the same way: assigning or
 deleting a field raises ``AttributeError``, a missing constructor
 argument raises ``TypeError``, keywords and defaults work.  The value
-types (``FGAbelianGroup``, ``FinDimAlgebra``, ``Assembly``,
-``SerreFibrationData``) compare and hash by their fields and keep
-field-style reprs; ``CochainComplex`` compares by its fields and is not
-hashable; every other record compares by identity.  Equality and
+types (``FGAbelianGroup``, ``FinDimAlgebra``, ``Assembly``) compare
+and hash by their fields and keep field-style reprs; ``CochainComplex``
+compares by its fields and is not hashable; every other record compares
+by identity.  Equality and
 hashing are defined in one place, the value base of ``nccw.frozen``.
 """
 
@@ -26,7 +26,6 @@ from nccw.exacthom import (
     identity,
     intmat,
 )
-from nccw.fibration import SerreFibrationData
 from nccw.findim import FinDimAlgebra, MultMorphism
 from nccw.ssengine import Assembly, Page, SpectralSequence
 
@@ -77,11 +76,6 @@ RECORDS = {
         "maps",
         lambda: CellularMorphism(_complex(), _complex()),
     ),
-    "SerreFibrationData": (
-        lambda: SerreFibrationData(_complex(), _group(), FGAbelianGroup(), "K"),
-        "simple",
-        lambda: SerreFibrationData(_complex(), _group(), _group()),
-    ),
     "CochainComplex": (_complex, "differentials", lambda: CochainComplex(RING_Z, [1])),
     "NCCWComplex": (
         lambda: build([NCCWStage(0, _alg())]), "cochain", lambda: NCCWComplex(())
@@ -131,9 +125,6 @@ def test_defaults_and_keywords():
     assert (a.pieces, a.group, a.note) == ((g,), g, "exact")
     c = _complex()
     assert CellularMorphism(src=c, dst=c, maps=[identity(1)]).map_at(1).shape == (1, 1)
-    fib = SerreFibrationData(c, g, g, "K")
-    assert fib.simple is True
-    assert SerreFibrationData(c, g, g, theory="K", simple=False).simple is False
 
 
 def test_constructor_checks_keep_their_messages():
@@ -149,8 +140,6 @@ def test_constructor_checks_keep_their_messages():
         NCCWStage(1, _alg())
     with pytest.raises(Exception, match="share domain and codomain"):
         EndpointPair(_morphism(), MultMorphism(FinDimAlgebra([1]), _alg(), [[1], [0]]))
-    with pytest.raises(ValueError, match="HP coefficients must be torsion-free"):
-        SerreFibrationData(_complex().with_ring("Q"), _group(), _group(), "HP")
 
 
 @pytest.mark.parametrize(
@@ -183,15 +172,6 @@ def test_value_types_differ_when_a_field_differs():
     assert Assembly((g,), g, "exact") != Assembly((g, g), g, "exact")
 
 
-def test_fibration_data_compares_by_fields():
-    c, g = _complex(), _group()
-    assert SerreFibrationData(c, g, g, "K") == SerreFibrationData(_complex(), _group(), g, "K")
-    assert SerreFibrationData(c, g, g, "K") != SerreFibrationData(c, g, g, "K", simple=False)
-    with pytest.raises(TypeError):
-        # the base complex defines equality but no hash
-        hash(SerreFibrationData(c, g, g, "K"))
-
-
 @pytest.mark.parametrize(
     "name",
     ["MultMorphism", "EndpointPair", "ProvidedCoboundary", "NCCWStage", "Page",
@@ -211,11 +191,6 @@ def test_value_type_reprs_list_their_fields():
     g = FGAbelianGroup()
     assert repr(Assembly((), g, "exact")) == (
         "Assembly(pieces=(), group=FGAbelianGroup(free_rank=0, torsion=()), note='exact')"
-    )
-    assert repr(SerreFibrationData(_complex(), g, g, "K")) == (
-        "SerreFibrationData(base=CochainComplex(ring=Z, ranks=[1, 1]),"
-        " g_even=FGAbelianGroup(free_rank=0, torsion=()),"
-        " g_odd=FGAbelianGroup(free_rank=0, torsion=()), theory='K', simple=True)"
     )
 
 

@@ -2,8 +2,12 @@
 
 The theory's ring (Z for K, Q for HP) and the refusal of an unknown
 theory live in ``findim.ring_of``; the engine, the fibration module and
-the command line take rings from there.  A tower keeps its coboundaries,
-cell counts and top dimension only in its cochain complex.  An absent
+the command line take rings from there.  ``fibration.leray_serre_e2``
+alone refuses torsion in rational coefficients, and the universal
+coefficient arithmetic it calls reads no ring.  Simplicity of the local
+coefficients is assumed, so no flag, field or error names it.  A tower
+keeps its coboundaries, cell counts and top dimension only in its
+cochain complex.  An absent
 differential is a zero matrix, never None, and ``Page.step`` alone says
 where d^r lands.  Indented JSON has one
 writer, ``cli._indented``: an ``indent=`` argument would send the json
@@ -44,6 +48,41 @@ def test_only_findim_refuses_unknown_theories():
         if name.endswith(".py") and "unknown theory" in _source(name)
     }
     assert holders == {"findim.py"}
+
+
+def test_only_fibration_refuses_torsion_in_rational_coefficients():
+    holders = {
+        name for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+        for node in ast.walk(ast.parse(_source(name)))
+        if isinstance(node, ast.Raise) and "torsion-free" in ast.unparse(node)
+    }
+    assert holders == {"fibration.py"}
+
+
+def test_coefficient_cohomology_reads_no_ring():
+    func = _functions("exacthom.py")["cohomology_with_coefficients"]
+    assert [a.arg for a in func.args.args] == ["plain", "group"]
+    assert not [n for n in ast.walk(func) if isinstance(n, ast.Attribute) and n.attr == "ring"]
+    assert not [n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id.startswith("RING_")]
+
+
+def test_nothing_is_named_after_simplicity():
+    # the coefficients are assumed simple: no option, field, error or
+    # message names the assumption.  ``types.SimpleNamespace`` is what
+    # the command line parses into.
+    named = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(_source(name))
+        docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+        for node in ast.walk(tree):
+            words = [getattr(node, f, None) for f in ("id", "attr", "arg", "name", "asname")]
+            if isinstance(node, ast.Constant) and id(node) not in docstrings:
+                words.append(node.value)
+            named += [(name, w) for w in words
+                      if isinstance(w, str) and "simple" in w.lower() and w != "SimpleNamespace"]
+    assert named == []
 
 
 def test_engine_fibration_and_cli_name_no_ring():

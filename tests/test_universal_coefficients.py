@@ -24,6 +24,7 @@ from nccw.exacthom import (
     reduce_complex,
     snf_diagonal,
 )
+from nccw.fibration import leray_serre_e2
 
 from conftest import (
     coefficient_expansion,
@@ -43,20 +44,24 @@ groups = st.builds(
 @given(small_complexes(rings=("Z",)), groups)
 def test_coefficients_match_free_expansion(c, group):
     expected = all_cohomology(coefficient_expansion(c, group))[1:]
-    assert cohomology_with_coefficients(c, group, all_cohomology(c)) == expected
+    assert cohomology_with_coefficients(all_cohomology(c), group) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_complexes(rings=("Q",)), st.integers(0, 3))
 def test_rational_coefficients_scale_ranks(c, n):
-    got = cohomology_with_coefficients(c, FGAbelianGroup.free(n), all_cohomology(c))
+    got = cohomology_with_coefficients(all_cohomology(c), FGAbelianGroup.free(n))
     assert got == [FGAbelianGroup.free(n * g.free_rank) for g in all_cohomology(c)]
 
 
 def test_rational_torsion_coefficients_refused():
+    # the second page owns the refusal; the universal coefficient
+    # arithmetic itself reads no ring
     c = CochainComplex("Q", [1, 1], [intmat([[0]])])
-    with pytest.raises(ValueError):
-        cohomology_with_coefficients(c, FGAbelianGroup(1, (2,)), all_cohomology(c))
+    for g_even, g_odd in ((FGAbelianGroup(1, (2,)), FGAbelianGroup()),
+                          (FGAbelianGroup(), FGAbelianGroup.cyclic(3))):
+        with pytest.raises(ValueError, match="^HP coefficients must be torsion-free$"):
+            leray_serre_e2(c, g_even, g_odd, "HP")
 
 
 @settings(max_examples=300, deadline=None)
